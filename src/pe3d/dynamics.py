@@ -1,7 +1,12 @@
 """Nonlinear term, IMEX time stepper, and the solution operator.
 
 The scheme is first-order IMEX Euler: explicit skew-symmetrized advection
-and forcing, implicit BC-aware diffusion (weighted CG), then projection.
+and forcing, implicit BC-aware diffusion, then projection.  The diffusion
+solve is exact by fast diagonalization (the operator is a Kronecker sum of
+three 1D second differences on the free nodes); its result is checked by
+the stencil residual test of the weighted CG, which would iterate further
+only if that residual exceeded DIFFUSION_RTOL.
+
 The skew-symmetrized advection makes the discrete trilinear form
 <B(v,v), v> vanish up to the constraint residual, so the per-step energy
 budget
@@ -104,9 +109,33 @@ def _zero_dirichlet(data: np.ndarray) -> np.ndarray:
     return data
 
 
+def _transform(a: np.ndarray, mx: np.ndarray, my: np.ndarray,
+               mz: np.ndarray) -> np.ndarray:
+    """Apply one 1D matrix along each of the axes 1, 2, 3 of ``a``."""
+    shape = a.shape
+    a = (mx @ a.reshape(shape[0], shape[1], -1)).reshape(shape)
+    return (my @ a) @ mz.T
+
+
+def _separable_solve(b: np.ndarray, grid: GridSpec, dt_nu: float) -> np.ndarray:
+    """Exact solve of (I - dt nu lap_bc) x = b on the free nodes by fast
+    diagonalization: three forward 1D transforms, a pointwise divide by
+    1 - dt nu (lam_x + lam_y + lam_z), three back transforms.  Dirichlet
+    nodes of the result are zero."""
+    (fx, bx), (fy, by), (fz, bz), lam = _grid.laplacian_eigenbasis(grid)
+    free = (slice(None), slice(1, grid.n1), slice(1, grid.n2), slice(1, None))
+    x = np.zeros_like(b)
+    x[free] = _transform(_transform(b[free], fx, fy, fz) / (1.0 - dt_nu * lam),
+                         bx, by, bz)
+    return x
+
+
 def _implicit_diffusion(w: HorizontalField, dt: float, nu: float) -> HorizontalField:
     """Solve (I - dt nu lap_bc) v = w on the free nodes (Dirichlet nodes
-    pinned at zero) with the weighted CG."""
+    pinned at zero).  The separable solve is exact; it starts the weighted
+    CG, whose initial residual test applies the stencil operator once and
+    accepts it, so every solve is checked against the stencil.  CG only
+    iterates if that residual exceeds DIFFUSION_RTOL."""
     g = w.grid
     vol = _grid.weights3(g)[None]
 
@@ -117,7 +146,8 @@ def _implicit_diffusion(w: HorizontalField, dt: float, nu: float) -> HorizontalF
     b = _zero_dirichlet(w.data.copy())
     x = weighted_cg(apply_op, b, vol, rel_tol=DIFFUSION_RTOL,
                     max_iter=200 * max(g.n1, g.n2, g.nz),
-                    x0=b.copy(), label="implicit-diffusion")
+                    x0=_separable_solve(b, g, dt * nu),
+                    label="implicit-diffusion")
     return HorizontalField(x, g)
 
 

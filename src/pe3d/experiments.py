@@ -8,7 +8,9 @@ report.  run_experiment maps outcomes to exit codes:
     2  an asserted experimental property failed (ExperimentFailure)
     3  solver or input error
 
-All failures leave a diagnostic failure.json in the output directory.
+All failures leave a diagnostic failure.json in the output directory: a
+DivergenceError adds its diagnostics, and any other exception is recorded
+with its type and message, then re-raised.
 Ensemble members run concurrently up to the PE3D_THREADS worker cap
 (default 1); each member writes only its own files and the aggregate
 report is written last.
@@ -27,7 +29,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dynamics import SimulationParams
-from .errors import InputError, SolverError
+from .errors import DivergenceError, InputError, SolverError
 from .estimates import (TrajectoryDiagnostics, check_growth_bound,
                         continuity_probe, detect_absorbing, eta_partition,
                         fit_growth_constant, measure_decay_time,
@@ -336,11 +338,18 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
         print(f"FAIL ({cfg.experiment}): {e}")
         return 2
     except (InputError, SolverError) as e:
-        _write_json(outdir / "failure.json",
-                    {"experiment": cfg.experiment, "kind": "error",
-                     "detail": str(e)})
+        failure = {"experiment": cfg.experiment, "kind": "error",
+                   "detail": str(e)}
+        if isinstance(e, DivergenceError):
+            failure["diagnostics"] = e.diagnostics
+        _write_json(outdir / "failure.json", failure)
         print(f"ERROR ({cfg.experiment}): {e}")
         return 3
+    except BaseException as e:
+        _write_json(outdir / "failure.json",
+                    {"experiment": cfg.experiment, "kind": "exception",
+                     "type": type(e).__name__, "detail": str(e)})
+        raise
     _write_json(outdir / f"{cfg.experiment}_report.json", report)
     print(f"OK ({cfg.experiment}): report in {outdir}")
     return 0

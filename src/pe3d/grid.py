@@ -180,6 +180,35 @@ def laplacian_bc(a: np.ndarray, grid: GridSpec) -> np.ndarray:
             + _second_diff(a, grid.dz, 2, "neumann"))
 
 
+def _free_eigenpairs(n: int, d: float, top: str):
+    """Eigenpairs of the 1D second difference restricted to its free nodes
+    (1..n-1 for Dirichlet at both ends, 1..n for a Neumann top).  The matrix
+    is symmetric under the trapezoid weights W, so W^(1/2) D W^(-1/2) goes
+    to ``eigh``; returns the forward transform Q^T W^(1/2), the back
+    transform W^(-1/2) Q and the eigenvalues."""
+    free = slice(1, n) if top == "dirichlet" else slice(1, n + 1)
+    D = _second_diff(np.eye(n + 1), d, 0, top)[free, free]
+    sw = np.sqrt(_trapezoid_weights(n, d)[free])
+    M = sw[:, None] * D / sw[None, :]
+    lam, Q = np.linalg.eigh(0.5 * (M + M.T))
+    return Q.T * sw[None, :], Q / sw[:, None], lam
+
+
+@functools.lru_cache(maxsize=32)
+def laplacian_eigenbasis(grid: GridSpec):
+    """Separable eigenbasis of ``laplacian_bc`` on the free nodes
+    [1:n1, 1:n2, 1:nz+1]: per axis (x, y, z) a (forward, back) transform
+    pair, plus the eigenvalues lam_x + lam_y + lam_z on the free block
+    (fast diagonalization, Lynch, Rice & Thomas 1964)."""
+    fx, bx, lx = _free_eigenpairs(grid.n1, grid.d1, "dirichlet")
+    fy, by, ly = _free_eigenpairs(grid.n2, grid.d2, "dirichlet")
+    fz, bz, lz = _free_eigenpairs(grid.nz, grid.dz, "neumann")
+    lam = lx[:, None, None] + ly[:, None] + lz
+    for a in (fx, bx, fy, by, fz, bz, lam):
+        a.setflags(write=False)
+    return (fx, bx), (fy, by), (fz, bz), lam
+
+
 def div2(w1: np.ndarray, w2: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Horizontal divergence, centered second order in the interior.  Accepts
     2D (horizontal) or 3D (level-by-level) arrays."""

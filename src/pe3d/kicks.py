@@ -14,6 +14,7 @@ is documented platform-stable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,31 +72,23 @@ def _lap2_norm2(xi: HorizontalField) -> float:
     return float(np.sum((lap.u1 ** 2 + lap.u2 ** 2) * vol))
 
 
-def _base_amplitude(grid: GridSpec, config: KickConfig) -> float:
+@functools.lru_cache(maxsize=32)
+def _base_amplitude(grid: GridSpec, n_modes: int, R: float) -> float:
     """Scale so a typical raw draw has |lap xi|^2 around R/4; computed from
-    the deterministic all-ones-coefficients draw and cached."""
-    key = (grid, config.n_modes, config.R)
-    cached = _base_amplitude.cache.get(key)
-    if cached is not None:
-        return cached
-    ref = _assemble(grid, config, np.ones(config.n_modes ** 3))
+    the deterministic all-ones-coefficients draw."""
+    ref = _assemble(grid, n_modes, np.ones(n_modes ** 3))
     raw = _lap2_norm2(ref)
-    amp = 0.0 if config.R == 0 or raw == 0 else 1.5 * np.sqrt(config.R / raw)
-    _base_amplitude.cache[key] = amp
-    return amp
+    return 0.0 if R == 0 or raw == 0 else 1.5 * np.sqrt(R / raw)
 
 
-_base_amplitude.cache = {}
-
-
-def _assemble(grid: GridSpec, config: KickConfig, coeffs: np.ndarray) -> HorizontalField:
-    psis = mode_stream_functions(grid, config.n_modes)
-    zmodes = vertical_modes(grid, config.n_modes)
+def _assemble(grid: GridSpec, n_modes: int, coeffs: np.ndarray) -> HorizontalField:
+    psis = mode_stream_functions(grid, n_modes)
+    zmodes = vertical_modes(grid, n_modes)
     out = HorizontalField.zeros(grid)
     idx = 0
-    for m in range(1, config.n_modes + 1):
-        for n in range(1, config.n_modes + 1):
-            psi = psis[(m - 1) * config.n_modes + (n - 1)]
+    for m in range(1, n_modes + 1):
+        for n in range(1, n_modes + 1):
+            psi = psis[(m - 1) * n_modes + (n - 1)]
             for k, phi in enumerate(zmodes):
                 w = 1.0 / (1.0 + m * m + n * n + k * k) ** 2
                 out = out + (w * coeffs[idx]) * stream_function_field(psi, grid, phi)
@@ -108,7 +101,8 @@ def draw_kick(rng: np.random.Generator, grid: GridSpec, config: KickConfig) -> K
     if config.R == 0.0:
         return KickDraw(HorizontalField.zeros(grid), 0.0, 0.0, False, False)
     coeffs = rng.uniform(-1.0, 1.0, size=config.n_modes ** 3)
-    xi = _base_amplitude(grid, config) * _assemble(grid, config, coeffs)
+    xi = (_base_amplitude(grid, config.n_modes, config.R)
+          * _assemble(grid, config.n_modes, coeffs))
     lap2 = _lap2_norm2(xi)
     rescaled = lap2 > config.R
     if rescaled:

@@ -85,10 +85,12 @@ def _lambdify_pair(spec: AnalyticSolutionSpec, nu: float):
         e = (sym.diff(v[k], t) - nu * lap(v[k])
              + spec.v1 * sym.diff(v[k], x) + spec.v2 * sym.diff(v[k], y)
              + u3 * sym.diff(v[k], z))
-        src.append(sym.simplify(e))
+        src.append(e)
     args = (x, y, z, t)
     fv = [sym.lambdify(args, spec.v1, "numpy"), sym.lambdify(args, spec.v2, "numpy")]
-    fs = [sym.lambdify(args, src[0], "numpy"), sym.lambdify(args, src[1], "numpy")]
+    # common-subexpression elimination keeps the unsimplified source terms
+    # as cheap to evaluate as simplified ones, without sympy's simplify
+    fs = [sym.lambdify(args, e, "numpy", cse=True) for e in src]
     return fv, fs
 
 

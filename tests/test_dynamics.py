@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import raw_field
+from pe3d import dynamics
+from pe3d import grid as grid_mod
 from pe3d.dynamics import (SimState, SimulationParams, _implicit_diffusion,
-                           cfl_dt, nonlinear_B, solve_S, step)
+                           _separable_solve, _zero_dirichlet, cfl_dt,
+                           nonlinear_B, solve_S, step)
 from pe3d.errors import DivergenceError, InputError
 from pe3d.fields import HorizontalField, apply_bc
 from pe3d.grid import GridSpec
@@ -63,6 +68,23 @@ class TestNonlinearTerm:
             nonlinear_B(v, v, check=True)
 
 
+def _dense_system(grid, dt_nu, w):
+    """(I - dt nu lap_bc) assembled column by column, the right-hand side,
+    and the mask of free (non-Dirichlet) unknowns."""
+    n = w.data.size
+    A = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        data = e.reshape(w.data.shape).copy()
+        lap = np.stack([grid_mod.laplacian_bc(data[0], grid),
+                        grid_mod.laplacian_bc(data[1], grid)])
+        A[:, j] = _zero_dirichlet(data - dt_nu * lap).ravel()
+    rhs = _zero_dirichlet(w.data.copy()).ravel()
+    free = _zero_dirichlet(np.ones_like(w.data)).ravel().astype(bool)
+    return A, rhs, free
+
+
 class TestImplicitDiffusion:
     def test_matches_dense_solve(self, rng):
         # assemble (I - dt nu lap_bc) column by column on a minimal grid and
@@ -70,24 +92,49 @@ class TestImplicitDiffusion:
         grid = GridSpec(n1=4, n2=4, nz=4)
         dt, nu = 0.01, 0.7
         w = apply_bc(raw_field(grid, rng))
-        n = w.data.size
-        A = np.empty((n, n))
-        from pe3d import grid as grid_mod
-        from pe3d.dynamics import _zero_dirichlet
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            data = e.reshape(w.data.shape).copy()
-            lap = np.stack([grid_mod.laplacian_bc(data[0], grid),
-                            grid_mod.laplacian_bc(data[1], grid)])
-            A[:, j] = _zero_dirichlet(data - dt * nu * lap).ravel()
-        rhs = _zero_dirichlet(w.data.copy()).ravel()
+        A, rhs, free = _dense_system(grid, dt * nu, w)
         # restrict to the free (non-Dirichlet) unknowns to keep A invertible
-        free = _zero_dirichlet(np.ones_like(w.data)).ravel().astype(bool)
-        expected = np.zeros(n)
+        expected = np.zeros(rhs.size)
         expected[free] = np.linalg.solve(A[np.ix_(free, free)], rhs[free])
         got = _implicit_diffusion(w, dt, nu)
         assert np.allclose(got.data.ravel(), expected, rtol=1e-8, atol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n1=st.integers(4, 7), n2=st.integers(4, 7), nz=st.integers(4, 7),
+           L1=st.floats(0.5, 2.0), L2=st.floats(0.5, 2.0), h=st.floats(0.5, 2.0),
+           dt_nu=st.floats(1e-4, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_separable_solve_matches_dense(self, n1, n2, nz, L1, L2, h,
+                                           dt_nu, seed):
+        # the fast-diagonalization solve alone, without the CG check,
+        # against the dense operator on random grids, extents and dt nu
+        grid = GridSpec(L1=L1, L2=L2, h=h, n1=n1, n2=n2, nz=nz)
+        w = apply_bc(raw_field(grid, np.random.default_rng(seed)))
+        A, rhs, free = _dense_system(grid, dt_nu, w)
+        got = _separable_solve(_zero_dirichlet(w.data.copy()), grid, dt_nu).ravel()
+        assert np.all(got[~free] == 0.0)
+        res = np.linalg.norm(A @ got - rhs) / np.linalg.norm(rhs)
+        assert res <= 1e-12
+        expected = np.linalg.solve(A[np.ix_(free, free)], rhs[free])
+        assert np.allclose(got[free], expected, rtol=1e-10,
+                           atol=1e-10 * np.abs(expected).max())
+
+    def test_one_operator_application_per_solve(self, monkeypatch):
+        # the separable solve passes CG's initial residual test, so CG
+        # applies the stencil once and never iterates
+        applies = []
+        cg = dynamics.weighted_cg
+
+        def counting(apply_op, *args, **kwargs):
+            def counted(x):
+                applies.append(1)
+                return apply_op(x)
+            return cg(counted, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "weighted_cg", counting)
+        grid = GridSpec(n1=16, n2=16, nz=16)
+        w = apply_bc(raw_field(grid, np.random.default_rng(3)))
+        _implicit_diffusion(w, 0.01, 1.0)
+        assert len(applies) == 1
 
     def test_decreases_H_norm(self, smooth8):
         out = _implicit_diffusion(smooth8, 0.05, 1.0)

@@ -7,7 +7,8 @@ import pytest
 
 from pe3d.cli import main
 from pe3d.config import parse_config
-from pe3d.errors import InputError
+from pe3d import experiments
+from pe3d.errors import DivergenceError, InputError
 from pe3d.experiments import TRAJECTORY_HEADER, n_workers, run_experiment
 
 
@@ -94,6 +95,30 @@ class TestDecayDriver:
         for name in ("decay_0.csv", "decay_1.csv"):
             assert ((tmp_path / "serial" / name).read_bytes()
                     == (tmp_path / "par" / name).read_bytes())
+
+
+class TestFailurePaths:
+    def test_divergence_writes_diagnostics(self, tmp_path, monkeypatch):
+        def diverge(cfg, outdir):
+            raise DivergenceError("state diverged", diagnostics={"t": 0.5, "step": 7})
+
+        monkeypatch.setitem(experiments._DRIVERS, "decay", diverge)
+        assert run_experiment(_cfg(), output=str(tmp_path)) == 3
+        fail = json.loads((tmp_path / "failure.json").read_text())
+        assert fail["kind"] == "error"
+        assert fail["diagnostics"] == {"t": 0.5, "step": 7}
+
+    def test_unexpected_exception_recorded_and_reraised(self, tmp_path, monkeypatch):
+        def broken(cfg, outdir):
+            raise KeyError("missing")
+
+        monkeypatch.setitem(experiments._DRIVERS, "decay", broken)
+        with pytest.raises(KeyError):
+            run_experiment(_cfg(), output=str(tmp_path))
+        fail = json.loads((tmp_path / "failure.json").read_text())
+        assert fail["kind"] == "exception"
+        assert fail["type"] == "KeyError"
+        assert "missing" in fail["detail"]
 
 
 class TestDiagDriver:
