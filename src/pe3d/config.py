@@ -19,7 +19,6 @@ class SimBlock:
     dt_max: float = 0.01
     cfl: float = 0.4
     t_end: float = 1.0
-    forcing_mode: str = "zero"
 
     def validate(self):
         if self.nu <= 0:
@@ -30,8 +29,6 @@ class SimBlock:
             raise InputError("sim.dt_max must be positive")
         if self.t_end < 0:
             raise InputError("sim.t_end must be nonnegative")
-        if self.forcing_mode not in ("zero", "constant"):
-            raise InputError("sim.forcing_mode must be 'zero' or 'constant'")
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,7 @@ _TOP_SCHEMA = {
 _SECTION_SCHEMA = {
     "grid": {"L1": float, "L2": float, "h": float,
              "n1": int, "n2": int, "nz": int},
-    "sim": {"nu": float, "dt_max": float, "cfl": float, "t_end": float,
-            "forcing_mode": str},
+    "sim": {"nu": float, "dt_max": float, "cfl": float, "t_end": float},
     "kick": {"T": float, "R": float, "n_modes": int, "seed": int,
              "N": int, "burn_in": int},
     "experiment": {"R": float, "eps": float, "n_ic": int, "n_chains": int,

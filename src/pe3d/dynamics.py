@@ -28,7 +28,7 @@ from .fields import (HorizontalField, apply_bc, check_bc, laplacian3,
                      u3_diagnostic)
 from .grid import GridSpec, diff_sbp
 from .linalg import weighted_cg
-from .norms import norm_H, norm_V
+from .norms import norm_H, norm_report
 from .projection import project_H
 from . import grid as _grid
 
@@ -166,7 +166,9 @@ def step(state: SimState, params: SimulationParams,
     """One IMEX Euler step: explicit advection + forcing, implicit
     diffusion, projection.  ``forcing`` overrides the params forcing field
     (used by the manufactured-solution driver); ``dt_cap`` limits dt so a
-    trajectory can land exactly on a target time."""
+    trajectory can land exactly on a target time.  ``record``, if given,
+    receives dt, the norm report of the new state, the old H2 and the
+    energy-budget slack computed from that report."""
     v = state.v
     g = v.grid
     dt = cfl_dt(v, params)
@@ -189,10 +191,11 @@ def step(state: SimState, params: SimulationParams,
             diagnostics={"t": state.t, "step": state.step_count, "dt": dt,
                          "H_before": norm_H(v)})
     if record is not None:
-        H2_old, H2_new = norm_H(v) ** 2, norm_H(vnew) ** 2
-        E2_new = norm_V(vnew) ** 2
+        H2_old = norm_H(v) ** 2
+        report = norm_report(vnew)
         record["dt"] = dt
-        record["slack"] = H2_new + 2.0 * dt * params.nu * E2_new - H2_old
+        record["report"] = report
+        record["slack"] = report.H2 + 2.0 * dt * params.nu * report.E2 - H2_old
         record["H2_old"] = H2_old
     return SimState(t=state.t + dt, v=vnew, step_count=state.step_count + 1)
 

@@ -71,7 +71,7 @@ def record_trajectory(v0: HorizontalField, params: SimulationParams,
         acc_slack += rec["slack"]
         if state.step_count % record_every == 0 or state.t >= params.t_end - 1e-12:
             ts.append(state.t)
-            rows.append(norm_report(state.v))
+            rows.append(rec["report"])
             slacks.append(acc_slack)
             acc_slack = 0.0
     diag = TrajectoryDiagnostics(

@@ -10,7 +10,8 @@ report.  run_experiment maps outcomes to exit codes:
 
 All failures leave a diagnostic failure.json in the output directory: a
 DivergenceError adds its diagnostics, and any other exception is recorded
-with its type and message, then re-raised.
+with its type and message, then re-raised.  Every CSV and JSON artifact is
+written to a temp file and moved into place, so none is ever truncated.
 Ensemble members run concurrently up to the PE3D_THREADS worker cap
 (default 1); each member writes only its own files and the aggregate
 report is written last.
@@ -22,12 +23,12 @@ import glob
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, SimBlock
 from .dynamics import SimulationParams
 from .errors import DivergenceError, InputError, SolverError
 from .estimates import (TrajectoryDiagnostics, check_growth_bound,
@@ -79,12 +80,29 @@ TRAJECTORY_HEADER = "t,H2,E2,J,K,Kbar,budget_slack"
 CHAIN_HEADER = "n,H2,E2,J,K,kick_V2,rescaled"
 
 
+def _write_atomic(path, write) -> None:
+    """Write through ``write(fh)`` to ``<path>.tmp``, then move it into
+    place, so an interrupted write leaves neither a truncated ``path`` nor
+    the temp file behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_trajectory_csv(path, diag: TrajectoryDiagnostics) -> None:
-    with open(path, "w") as fh:
+    def write(fh):
         fh.write(TRAJECTORY_HEADER + "\n")
         for row in zip(diag.t, diag.H2, diag.E2, diag.J, diag.K,
                        diag.Kbar, diag.slack):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+    _write_atomic(path, write)
 
 
 def read_trajectory_csv(path) -> TrajectoryDiagnostics:
@@ -104,7 +122,7 @@ def read_trajectory_csv(path) -> TrajectoryDiagnostics:
 
 
 def write_chain_csv(path, trace) -> None:
-    with open(path, "w") as fh:
+    def write(fh):
         fh.write(CHAIN_HEADER + "\n")
         for n, H2, E2, J, K, V2, r in zip(trace.n, trace.H2, trace.E2,
                                           trace.J, trace.K, trace.kick_V2,
@@ -112,11 +130,15 @@ def write_chain_csv(path, trace) -> None:
             fh.write(f"{n:d}," + ",".join(
                 f"{v:.17g}" for v in (H2, E2, J, K, V2)) + f",{int(r)}\n")
 
+    _write_atomic(path, write)
+
 
 def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
+    def write(fh):
         json.dump(obj, fh, indent=1)
         fh.write("\n")
+
+    _write_atomic(path, write)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +176,15 @@ def _forcing_field(grid: GridSpec, seed: int, target_H2: float) -> HorizontalFie
 # ---------------------------------------------------------------------------
 
 def run_verify(cfg: RunConfig, outdir: Path) -> dict:
+    # the ladder fixes its own grids and time steps; reject the keys it
+    # would otherwise parse and ignore
+    ignored = [f"grid.{f.name}" for f in fields(GridSpec)
+               if getattr(cfg.grid, f.name) != f.default]
+    ignored += [f"sim.{f.name}" for f in fields(SimBlock)
+                if f.name != "nu" and getattr(cfg.sim, f.name) != f.default]
+    if ignored:
+        raise InputError("verify reads only sim.nu from the config; remove "
+                         + ", ".join(ignored))
     rep = verify_manufactured(_sim_params(cfg))
     report = rep.to_dict()
     _write_json(outdir / "convergence.json", report)

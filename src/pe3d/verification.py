@@ -95,7 +95,9 @@ def _lambdify_pair(spec: AnalyticSolutionSpec, nu: float):
 
 
 def _eval_pair(funcs, grid: GridSpec, t: float) -> HorizontalField:
-    X, Y, Z = grid.meshgrid()
+    # 1D coordinate axes broadcast against each other: the same values as
+    # on grid.meshgrid(), without evaluating each factor on the full grid
+    X, Y, Z = grid.x()[:, None, None], grid.y()[None, :, None], grid.z()[None, None, :]
     a = np.broadcast_to(np.asarray(funcs[0](X, Y, Z, t), dtype=float), grid.shape)
     b = np.broadcast_to(np.asarray(funcs[1](X, Y, Z, t), dtype=float), grid.shape)
     return HorizontalField.from_components(a, b, grid)

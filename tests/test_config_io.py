@@ -1,5 +1,7 @@
 """Configuration parsing/serialization, snapshot files, and CSV schemas."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from pe3d.config import (ExperimentBlock, KickBlock, RunConfig, SimBlock,
                          parse_config, serialize_config)
 from pe3d.errors import InputError
 from pe3d.estimates import TrajectoryDiagnostics
-from pe3d.experiments import (CHAIN_HEADER, TRAJECTORY_HEADER,
+from pe3d.experiments import (CHAIN_HEADER, TRAJECTORY_HEADER, _write_json,
                               read_trajectory_csv, write_chain_csv,
                               write_trajectory_csv)
 from pe3d.grid import GridSpec
@@ -49,6 +51,11 @@ class TestConfigParsing:
     def test_unknown_key_reports_line_number(self):
         with pytest.raises(InputError, match="line 8.*unknown key"):
             parse_config(MINIMAL + "wavelength = 3\n")
+
+    def test_forcing_mode_is_an_unknown_key(self):
+        # whether a run is forced follows from its forcing field alone
+        with pytest.raises(InputError, match="line 9: unknown key 'forcing_mode'"):
+            parse_config(MINIMAL + "[sim]\nforcing_mode = zero\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(InputError, match=r"\[turbulence\]"):
@@ -94,8 +101,7 @@ def run_configs(draw):
                       n1=draw(st.integers(4, 32)), n2=draw(st.integers(4, 32)),
                       nz=draw(st.integers(4, 32))),
         sim=SimBlock(nu=draw(_floats), dt_max=draw(_floats),
-                     cfl=draw(st.floats(0.01, 1.0)), t_end=draw(_floats),
-                     forcing_mode=draw(st.sampled_from(("zero", "constant")))),
+                     cfl=draw(st.floats(0.01, 1.0)), t_end=draw(_floats)),
         kick=KickBlock(T=draw(st.floats(0.0, 10.0)), R=draw(st.floats(0.0, 10.0)),
                        n_modes=draw(st.integers(1, 4)),
                        seed=draw(st.integers(0, 2 ** 31)),
@@ -216,6 +222,27 @@ class TestCsvSchemas:
         path.write_text(TRAJECTORY_HEADER + "\n0.1,a,b,c,d,e,f\n")
         with pytest.raises(InputError):
             read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("writer", ["trajectory", "chain", "json"])
+    def test_failed_write_leaves_no_file(self, tmp_path, writer):
+        class Unformattable:
+            def __format__(self, spec):
+                raise ValueError("cannot format")
+
+        cols = [0.0, 1.0, Unformattable()]
+        path = tmp_path / "out"
+        with pytest.raises((ValueError, TypeError)):
+            if writer == "trajectory":
+                write_trajectory_csv(path, SimpleNamespace(
+                    t=cols, H2=cols, E2=cols, J=cols, K=cols, Kbar=cols,
+                    slack=cols))
+            elif writer == "chain":
+                write_chain_csv(path, SimpleNamespace(
+                    n=[1, 2, Unformattable()], H2=cols, E2=cols, J=cols,
+                    K=cols, kick_V2=cols, rescaled=[False] * 3))
+            else:
+                _write_json(path, {"rows": cols})
+        assert list(tmp_path.iterdir()) == []
 
     def test_chain_schema(self, tmp_path, rng):
         n = 6

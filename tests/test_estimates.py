@@ -6,16 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from pe3d.dynamics import SimulationParams
+from pe3d import dynamics, estimates
+from pe3d.dynamics import SimState, SimulationParams, step
 from pe3d.errors import InputError
 from pe3d.estimates import (AbsorbReport, GrowthParams, TrajectoryDiagnostics,
                             check_growth_bound, continuity_probe,
                             detect_absorbing, eta_partition,
                             fit_growth_constant, gamma, measure_decay_time,
                             record_trajectory)
-from pe3d.fields import HorizontalField
+from pe3d.fields import HorizontalField, apply_bc
 from pe3d.grid import GridSpec
-from pe3d.norms import norm_V
+from pe3d.norms import norm_report, norm_V
+from pe3d.projection import project_H
 from pe3d.sampling import random_smooth_field
 
 
@@ -186,6 +188,31 @@ class TestRecordedTrajectories:
         assert diag.t[-1] == pytest.approx(0.05)
         assert np.all(np.diff(diag.E2) <= 0.0)  # unforced flow decays
         assert final.is_finite()
+
+    def test_step_record_holds_the_new_state_report(self):
+        grid = GridSpec(n1=6, n2=6, nz=6)
+        v0 = apply_bc(project_H(random_smooth_field(np.random.default_rng(2), grid)))
+        params = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4)
+        rec: dict = {}
+        new = step(SimState(t=0.0, v=v0), params, record=rec)
+        assert rec["report"] == norm_report(new.v)
+        assert rec["slack"] == (rec["report"].H2 + 2.0 * rec["dt"] * rec["report"].E2
+                                - rec["H2_old"])
+
+    def test_one_norm_report_per_recorded_state(self, monkeypatch):
+        calls = []
+
+        def counting(v):
+            calls.append(1)
+            return norm_report(v)
+
+        monkeypatch.setattr(dynamics, "norm_report", counting)
+        monkeypatch.setattr(estimates, "norm_report", counting)
+        grid = GridSpec(n1=6, n2=6, nz=6)
+        v0 = random_smooth_field(np.random.default_rng(1), grid)
+        params = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4, t_end=0.05)
+        diag, _ = record_trajectory(v0, params, record_every=1)
+        assert len(calls) == len(diag)
 
     def test_record_every_thins_samples(self):
         grid = GridSpec(n1=6, n2=6, nz=6)

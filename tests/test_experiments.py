@@ -121,6 +121,16 @@ class TestFailurePaths:
         assert "missing" in fail["detail"]
 
 
+class TestVerifyDriver:
+    def test_ignored_grid_key_exits_3(self, tmp_path):
+        cfg = _cfg("experiment = verify\n[grid]\nn1 = 48\n")
+        assert run_experiment(cfg, output=str(tmp_path)) == 3
+        fail = json.loads((tmp_path / "failure.json").read_text())
+        assert fail["kind"] == "error"
+        assert "grid.n1" in fail["detail"]
+        assert not (tmp_path / "convergence.json").exists()
+
+
 class TestDiagDriver:
     def test_runs_on_decay_output(self, tmp_path):
         run_experiment(_cfg(), output=str(tmp_path / "runs"))

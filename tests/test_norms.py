@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import raw_field
 from pe3d.errors import InputError
 from pe3d.fields import HorizontalField
-from pe3d.grid import GridSpec
+from pe3d.grid import GridSpec, weights3
 from pe3d.norms import (NormReport, inner_H, norm_H, norm_K, norm_Kbar,
                         norm_L6, norm_V, norm_report)
 
@@ -104,3 +106,18 @@ class TestNormReport:
     def test_rejects_K_above_V(self):
         with pytest.raises(InputError):
             NormReport(H2=1.0, E2=1.0, J=0.0, K=2.0, Kbar=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n1=st.integers(4, 9), n2=st.integers(4, 9), nz=st.integers(4, 9),
+           L1=st.floats(0.5, 2.0), L2=st.floats(0.5, 2.0), h=st.floats(0.5, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fused_pass_matches_separate_norms(self, n1, n2, nz, L1, L2, h, seed):
+        grid = GridSpec(L1=L1, L2=L2, h=h, n1=n1, n2=n2, nz=nz)
+        v = raw_field(grid, np.random.default_rng(seed))
+        rep = norm_report(v)
+        assert rep.H2 == norm_H(v) ** 2
+        assert rep.E2 == norm_V(v) ** 2
+        assert rep.K == norm_K(v)
+        assert rep.Kbar == norm_Kbar(v)
+        J = float(np.sum((v.u1 ** 6 + v.u2 ** 6) * weights3(grid))) ** (1.0 / 6.0)
+        assert rep.J == pytest.approx(J, rel=1e-14, abs=0.0)

@@ -5,7 +5,7 @@ import pytest
 
 from pe3d.grid import GridSpec
 from pe3d.verification import (AnalyticSolutionSpec, ConvergenceReport,
-                               _lambdify_pair, _run_case)
+                               _eval_pair, _lambdify_pair, _run_case)
 
 
 class TestAnalyticSpec:
@@ -28,6 +28,19 @@ class TestAnalyticSpec:
         fv, fs = _lambdify_pair(AnalyticSolutionSpec.default(), nu=1.0)
         err = _run_case(GridSpec(n1=8, n2=8, nz=8), 1.0, 0.0, 0.01, fv, fs)
         assert err < 1e-10
+
+    @pytest.mark.parametrize("t", [0.0, 0.0123])
+    def test_axis_evaluation_matches_meshgrid(self, t):
+        # the fields are evaluated on broadcast 1D axes; the values must be
+        # those of a full-grid evaluation, bit for bit
+        grid = GridSpec(L1=2.0, L2=0.7, h=1.3, n1=12, n2=10, nz=8)
+        fv, fs = _lambdify_pair(AnalyticSolutionSpec.default(L1=2.0, L2=0.7, h=1.3),
+                                nu=1.0)
+        X, Y, Z = grid.meshgrid()
+        for funcs in (fv, fs):
+            full = np.stack([np.broadcast_to(f(X, Y, Z, t), grid.shape)
+                             for f in funcs])
+            assert np.array_equal(_eval_pair(funcs, grid, t).data, full)
 
 
 class TestConvergenceReport:
