@@ -5,14 +5,13 @@ Submodules:
     grid         grid geometry, difference operators, quadrature weights
     fields       horizontal velocity fields, boundary conditions, diagnostics
     norms        H / V / L6 norms and norm reports
-    projection   constraint projection, Neumann Poisson solver, operator A
+    projection   constraint projection, operator A and its smallest eigenvalue
     sampling     smooth constraint-compatible field construction
-    dynamics     nonlinear term, IMEX stepper, solution operator
+    dynamics     nonlinear term, IMEX stepper, the integration loop, S(t)
     verification manufactured-solution convergence ladders
     estimates    growth control, absorbing ball, decay times, continuity
     kicks        kick-forced Markov chain and empirical measures
     config       run configuration parsing/serialization
-    snapshots    binary field snapshots
     experiments  experiment drivers
     cli          command-line entry point
 """
@@ -21,10 +20,10 @@ __version__ = "0.1.0"
 
 from .grid import GridSpec
 from .fields import HorizontalField
-from .dynamics import SimulationParams, solve_S
+from .dynamics import SimulationParams, integrate, solve_S
 from .config import RunConfig, parse_config, serialize_config
 from .experiments import run_experiment
 
-__all__ = ["GridSpec", "HorizontalField", "SimulationParams", "solve_S",
+__all__ = ["GridSpec", "HorizontalField", "SimulationParams", "integrate", "solve_S",
            "RunConfig", "parse_config", "serialize_config", "run_experiment",
            "__version__"]

@@ -13,8 +13,7 @@ from .experiments import run_experiment
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pe3d",
-        description="Primitive-equations simulator and property harness. "
-                    "Set PE3D_THREADS to cap ensemble parallelism.")
+        description="Primitive-equations simulator and property harness.")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")

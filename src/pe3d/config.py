@@ -5,50 +5,15 @@ printed with 17 significant digits)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
+from typing import get_type_hints
 
+from .dynamics import SimulationParams
 from .errors import InputError
 from .grid import GridSpec
+from .kicks import KickConfig
 
 EXPERIMENTS = ("verify", "decay", "absorb", "kicks", "diag", "probe")
-
-
-@dataclass(frozen=True)
-class SimBlock:
-    nu: float = 1.0
-    dt_max: float = 0.01
-    cfl: float = 0.4
-    t_end: float = 1.0
-
-    def validate(self):
-        if self.nu <= 0:
-            raise InputError("sim.nu must be positive")
-        if not (0.0 < self.cfl <= 1.0):
-            raise InputError("sim.cfl must lie in (0, 1]")
-        if self.dt_max <= 0:
-            raise InputError("sim.dt_max must be positive")
-        if self.t_end < 0:
-            raise InputError("sim.t_end must be nonnegative")
-
-
-@dataclass(frozen=True)
-class KickBlock:
-    T: float = 0.0          # 0 means: measure T_V(4R, R) before running
-    R: float = 0.25
-    n_modes: int = 2
-    seed: int = 0
-    N: int = 300
-    burn_in: int = 50
-
-    def validate(self):
-        if self.T < 0:
-            raise InputError("kick.T must be nonnegative (0 = auto-measure)")
-        if self.R < 0:
-            raise InputError("kick.R must be nonnegative")
-        if not (0 <= self.burn_in < self.N):
-            raise InputError("kick.burn_in must satisfy 0 <= burn_in < N")
-        if self.n_modes < 1:
-            raise InputError("kick.n_modes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -64,7 +29,7 @@ class ExperimentBlock:
     probe_t: float = 0.5
     input: str = ""
 
-    def validate(self):
+    def __post_init__(self):
         if self.R < 0 or self.eps <= 0 or self.eta <= 0:
             raise InputError("experiment.R must be >= 0; eps, eta must be > 0")
         if self.n_ic < 1 or self.n_chains < 1:
@@ -79,20 +44,17 @@ class ExperimentBlock:
 class RunConfig:
     experiment: str
     grid: GridSpec
-    sim: SimBlock
-    kick: KickBlock
+    sim: SimulationParams
+    kick: KickConfig
     exp: ExperimentBlock
     output_dir: str = "pe3d_out"
     record_every: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise InputError(f"experiment must be one of {EXPERIMENTS}")
         if self.record_every < 1:
             raise InputError("record_every must be >= 1")
-        self.sim.validate()
-        self.kick.validate()
-        self.exp.validate()
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
@@ -107,16 +69,20 @@ _TOP_SCHEMA = {
     "output_dir": str,
     "record_every": int,
 }
-_SECTION_SCHEMA = {
-    "grid": {"L1": float, "L2": float, "h": float,
-             "n1": int, "n2": int, "nz": int},
-    "sim": {"nu": float, "dt_max": float, "cfl": float, "t_end": float},
-    "kick": {"T": float, "R": float, "n_modes": int, "seed": int,
-             "N": int, "burn_in": int},
-    "experiment": {"R": float, "eps": float, "n_ic": int, "n_chains": int,
-                   "f_H2": float, "window_frac": float, "eta": float,
-                   "deltas": _parse_floats, "probe_t": float, "input": str},
-}
+#: config section -> (RunConfig attribute, the dataclass it holds)
+_SECTIONS = {"grid": ("grid", GridSpec), "sim": ("sim", SimulationParams),
+             "kick": ("kick", KickConfig), "experiment": ("exp", ExperimentBlock)}
+_PARSERS = {float: float, int: int, str: str, tuple[float, ...]: _parse_floats}
+
+
+def _schema(cls) -> dict:
+    """Key -> value parser for each field of a section dataclass, so a
+    config key exists exactly when a field does."""
+    hints = get_type_hints(cls)
+    return {f.name: _PARSERS[hints[f.name]] for f in dc_fields(cls)}
+
+
+_SECTION_SCHEMA = {name: _schema(cls) for name, (_, cls) in _SECTIONS.items()}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -153,20 +119,11 @@ def parse_config(text: str) -> RunConfig:
 
     if "experiment" not in top:
         raise InputError("missing required top-level key 'experiment'")
-    try:
-        cfg = RunConfig(
-            experiment=top["experiment"],
-            output_dir=top.get("output_dir", "pe3d_out"),
-            record_every=top.get("record_every", 1),
-            grid=GridSpec(**sections["grid"]),
-            sim=SimBlock(**sections["sim"]),
-            kick=KickBlock(**sections["kick"]),
-            exp=ExperimentBlock(**sections["experiment"]),
-        )
-        cfg.validate()
-    except InputError:
-        raise
-    return cfg
+    return RunConfig(
+        experiment=top["experiment"],
+        output_dir=top.get("output_dir", "pe3d_out"),
+        record_every=top.get("record_every", 1),
+        **{attr: cls(**sections[name]) for name, (attr, cls) in _SECTIONS.items()})
 
 
 def _fmt(v) -> str:
@@ -181,8 +138,8 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = [f"experiment = {cfg.experiment}",
              f"output_dir = {cfg.output_dir}",
              f"record_every = {cfg.record_every}", ""]
-    for section, obj in (("grid", cfg.grid), ("sim", cfg.sim),
-                         ("kick", cfg.kick), ("experiment", cfg.exp)):
+    for section, (attr, _) in _SECTIONS.items():
+        obj = getattr(cfg, attr)
         lines.append(f"[{section}]")
         for f in dc_fields(obj):
             lines.append(f"{f.name} = {_fmt(getattr(obj, f.name))}")

@@ -1,4 +1,9 @@
-"""Nonlinear term, IMEX time stepper, and the solution operator.
+"""Nonlinear term, IMEX time stepper, the integration loop, and the
+solution operator.
+
+``integrate`` holds the only time loop: the solution operator ``solve_S``,
+the recorded trajectories of ``estimates`` and the manufactured-solution
+ladder all advance through it.
 
 The scheme is first-order IMEX Euler: explicit skew-symmetrized advection
 and forcing, implicit BC-aware diffusion, then projection.  The diffusion
@@ -19,13 +24,12 @@ margin; the recorded slack is exported per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .fields import (HorizontalField, apply_bc, check_bc, laplacian3,
-                     u3_diagnostic)
+from .fields import HorizontalField, apply_bc, check_bc, u3_diagnostic
 from .grid import GridSpec, diff_sbp
 from .linalg import weighted_cg
 from .norms import norm_H, norm_report
@@ -41,26 +45,23 @@ DIFFUSION_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class SimulationParams:
+    """The [sim] block of a run configuration.  Forcing is not a parameter:
+    a forced run passes ``forcing_at`` to ``integrate``."""
+
     nu: float = 1.0
     dt_max: float = 0.01
     cfl: float = 0.4
     t_end: float = 1.0
-    forcing_mode: str = "zero"          # "zero" | "constant"
-    f: HorizontalField | None = None
 
     def __post_init__(self):
         if self.nu <= 0:
-            raise InputError("viscosity nu must be positive")
+            raise InputError("sim.nu must be positive")
         if not (0.0 < self.cfl <= 1.0):
-            raise InputError("cfl must lie in (0, 1]")
+            raise InputError("sim.cfl must lie in (0, 1]")
         if self.dt_max <= 0:
-            raise InputError("dt_max must be positive")
-        if self.forcing_mode not in ("zero", "constant"):
-            raise InputError(f"unknown forcing_mode {self.forcing_mode!r}")
-        if self.forcing_mode == "zero" and self.f is not None:
-            raise InputError("f must be absent when forcing_mode is 'zero'")
-        if self.forcing_mode == "constant" and self.f is None:
-            raise InputError("forcing_mode 'constant' requires a forcing field f")
+            raise InputError("sim.dt_max must be positive")
+        if self.t_end < 0:
+            raise InputError("sim.t_end must be nonnegative")
 
 
 @dataclass
@@ -164,19 +165,16 @@ def step(state: SimState, params: SimulationParams,
          dt_cap: float | None = None,
          record: dict | None = None) -> SimState:
     """One IMEX Euler step: explicit advection + forcing, implicit
-    diffusion, projection.  ``forcing`` overrides the params forcing field
-    (used by the manufactured-solution driver); ``dt_cap`` limits dt so a
-    trajectory can land exactly on a target time.  ``record``, if given,
-    receives dt, the norm report of the new state, the old H2 and the
-    energy-budget slack computed from that report."""
+    diffusion, projection.  ``forcing`` is the source at the current time
+    (None for none); ``dt_cap`` limits dt so a trajectory can land exactly
+    on a target time.  ``record``, if given, receives dt, the norm report
+    of the new state, the old H2 and the energy-budget slack computed from
+    that report."""
     v = state.v
     g = v.grid
     dt = cfl_dt(v, params)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
-
-    if forcing is None and params.forcing_mode == "constant":
-        forcing = params.f
 
     B = nonlinear_B(v, v, check=False)
     w = HorizontalField(v.data - dt * B.data, g)
@@ -200,15 +198,36 @@ def step(state: SimState, params: SimulationParams,
     return SimState(t=state.t + dt, v=vnew, step_count=state.step_count + 1)
 
 
+def reached(t: float, t_end: float) -> bool:
+    """The stop rule of ``integrate``: t lies within rounding of t_end."""
+    return t >= t_end - 1e-14 * max(t_end, 1.0)
+
+
+def integrate(v0: HorizontalField, t_end: float, params: SimulationParams,
+              forcing_at=None, on_step=None) -> SimState:
+    """Advance apply_bc(project_H(v0)) from t = 0 to t_end; the final
+    partial step lands exactly on t_end.  Deterministic for fixed inputs.
+
+    ``forcing_at`` is an optional callable t -> HorizontalField giving the
+    source at the start of each step.  ``on_step``, if given, is called as
+    ``on_step(before, after, record)`` after every step, with the step's
+    record (dt, the norm report of the new state, H2_old, slack); without
+    it no step computes a norm report."""
+    if t_end < 0:
+        raise InputError("integrate: negative duration")
+    state = SimState(t=0.0, v=apply_bc(project_H(v0)))
+    while not reached(state.t, t_end):
+        forcing = forcing_at(state.t) if forcing_at is not None else None
+        record = {} if on_step is not None else None
+        new = step(state, params, forcing=forcing, dt_cap=t_end - state.t,
+                   record=record)
+        if on_step is not None:
+            on_step(state, new, record)
+        state = new
+    return state
+
+
 def solve_S(v0: HorizontalField, t: float, params: SimulationParams,
             forcing_at=None) -> HorizontalField:
-    """The solution operator: advance v0 by time t (final partial step lands
-    exactly on t).  Deterministic for fixed inputs.  ``forcing_at`` is an
-    optional callable t -> HorizontalField for time-dependent sources."""
-    if t < 0:
-        raise InputError("solve_S: negative duration")
-    state = SimState(t=0.0, v=apply_bc(project_H(v0)))
-    while state.t < t - 1e-14 * max(t, 1.0):
-        forcing = forcing_at(state.t) if forcing_at is not None else None
-        state = step(state, params, forcing=forcing, dt_cap=t - state.t)
-    return state.v
+    """The solution operator S(t): v0 advanced by time t."""
+    return integrate(v0, t, params, forcing_at=forcing_at).v

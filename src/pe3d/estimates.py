@@ -15,15 +15,14 @@ data, and tracked for stability across refinements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimState, SimulationParams, step, solve_S
-from .fields import HorizontalField, apply_bc
-from .norms import norm_report, norm_V
-from .projection import project_H
+from .dynamics import SimulationParams, integrate, reached, solve_S
 from .errors import InputError
+from .fields import HorizontalField
+from .norms import norm_report, norm_V
 
 
 # ---------------------------------------------------------------------------
@@ -59,21 +58,27 @@ class TrajectoryDiagnostics:
 
 
 def record_trajectory(v0: HorizontalField, params: SimulationParams,
-                      record_every: int = 1) -> tuple[TrajectoryDiagnostics, HorizontalField]:
-    """Run the stepper to params.t_end, sampling the norms every
-    record_every accepted steps (plus the initial and final states)."""
-    state = SimState(t=0.0, v=apply_bc(project_H(v0)))
-    ts, rows, slacks = [0.0], [norm_report(state.v)], [0.0]
+                      record_every: int = 1,
+                      forcing_at=None) -> tuple[TrajectoryDiagnostics, HorizontalField]:
+    """Run the stepper to params.t_end, forced by ``forcing_at`` as in
+    ``integrate``, sampling the norms every record_every accepted steps
+    (plus the initial and final states)."""
+    samples = []      # (t, norm report, slack summed since the previous sample)
     acc_slack = 0.0
-    while state.t < params.t_end - 1e-14 * max(params.t_end, 1.0):
-        rec: dict = {}
-        state = step(state, params, dt_cap=params.t_end - state.t, record=rec)
+
+    def on_step(before, after, rec):
+        nonlocal acc_slack
+        if not samples:
+            samples.append((0.0, norm_report(before.v), 0.0))
         acc_slack += rec["slack"]
-        if state.step_count % record_every == 0 or state.t >= params.t_end - 1e-12:
-            ts.append(state.t)
-            rows.append(rec["report"])
-            slacks.append(acc_slack)
+        if after.step_count % record_every == 0 or reached(after.t, params.t_end):
+            samples.append((after.t, rec["report"], acc_slack))
             acc_slack = 0.0
+
+    state = integrate(v0, params.t_end, params, forcing_at, on_step)
+    if not samples:
+        samples.append((0.0, norm_report(state.v), 0.0))
+    ts, rows, slacks = zip(*samples)
     diag = TrajectoryDiagnostics(
         t=np.array(ts),
         H2=np.array([r.H2 for r in rows]),

@@ -12,9 +12,6 @@ All failures leave a diagnostic failure.json in the output directory: a
 DivergenceError adds its diagnostics, and any other exception is recorded
 with its type and message, then re-raised.  Every CSV and JSON artifact is
 written to a temp file and moved into place, so none is ever truncated.
-Ensemble members run concurrently up to the PE3D_THREADS worker cap
-(default 1); each member writes only its own files and the aggregate
-report is written last.
 """
 
 from __future__ import annotations
@@ -22,13 +19,12 @@ from __future__ import annotations
 import glob
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, SimBlock
+from .config import RunConfig
 from .dynamics import SimulationParams
 from .errors import DivergenceError, InputError, SolverError
 from .estimates import (TrajectoryDiagnostics, check_growth_bound,
@@ -37,8 +33,7 @@ from .estimates import (TrajectoryDiagnostics, check_growth_bound,
                         record_trajectory)
 from .fields import HorizontalField
 from .grid import GridSpec
-from .kicks import (OBSERVABLES, KickConfig, run_chain, wasserstein1,
-                    wasserstein1_measures)
+from .kicks import run_chain, wasserstein1, wasserstein1_measures
 from .norms import norm_H, norm_V
 from .sampling import random_smooth_field
 from .verification import verify_manufactured
@@ -46,30 +41,6 @@ from .verification import verify_manufactured
 
 class ExperimentFailure(Exception):
     """An asserted experimental property failed (exit code 2)."""
-
-
-# ---------------------------------------------------------------------------
-# Worker pool
-# ---------------------------------------------------------------------------
-
-def n_workers() -> int:
-    raw = os.environ.get("PE3D_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"PE3D_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise InputError("PE3D_THREADS must be >= 1")
-    return n
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = min(n_workers(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +116,6 @@ def _write_json(path, obj) -> None:
 # Shared setup
 # ---------------------------------------------------------------------------
 
-def _sim_params(cfg: RunConfig, f: HorizontalField | None = None,
-                t_end: float | None = None) -> SimulationParams:
-    mode = "constant" if f is not None else "zero"
-    return SimulationParams(nu=cfg.sim.nu, dt_max=cfg.sim.dt_max,
-                            cfl=cfg.sim.cfl,
-                            t_end=cfg.sim.t_end if t_end is None else t_end,
-                            forcing_mode=mode, f=f)
-
-
 def _scaled_ic(grid: GridSpec, seed: int, target_E2: float) -> HorizontalField:
     """Random smooth field in H rescaled so |v|_V^2 equals target_E2."""
     v = random_smooth_field(np.random.default_rng(seed), grid)
@@ -180,12 +142,12 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
     # would otherwise parse and ignore
     ignored = [f"grid.{f.name}" for f in fields(GridSpec)
                if getattr(cfg.grid, f.name) != f.default]
-    ignored += [f"sim.{f.name}" for f in fields(SimBlock)
+    ignored += [f"sim.{f.name}" for f in fields(SimulationParams)
                 if f.name != "nu" and getattr(cfg.sim, f.name) != f.default]
     if ignored:
         raise InputError("verify reads only sim.nu from the config; remove "
                          + ", ".join(ignored))
-    rep = verify_manufactured(_sim_params(cfg))
+    rep = verify_manufactured(cfg.sim)
     report = rep.to_dict()
     _write_json(outdir / "convergence.json", report)
     if rep.spatial_order < 1.8:
@@ -198,17 +160,14 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def run_decay(cfg: RunConfig, outdir: Path) -> dict:
-    params = _sim_params(cfg)
-
-    def member(i: int):
+    T_V = []
+    for i in range(cfg.exp.n_ic):
         v0 = _scaled_ic(cfg.grid, cfg.kick.seed + i, cfg.exp.R)
-        diag, _ = record_trajectory(v0, params, cfg.record_every)
+        diag, _ = record_trajectory(v0, cfg.sim, cfg.record_every)
         write_trajectory_csv(outdir / f"decay_{i}.csv", diag)
-        return measure_decay_time(diag, cfg.exp.eps)
-
-    T_V = _pmap(member, range(cfg.exp.n_ic))
+        T_V.append(measure_decay_time(diag, cfg.exp.eps))
     report = {"R": cfg.exp.R, "eps": cfg.exp.eps, "T_V": T_V,
-              "t_end": params.t_end}
+              "t_end": cfg.sim.t_end}
     if any(T is None for T in T_V):
         raise ExperimentFailure(
             f"some trajectories never settled below eps={cfg.exp.eps}: {T_V}")
@@ -217,16 +176,14 @@ def run_decay(cfg: RunConfig, outdir: Path) -> dict:
 
 def run_absorb(cfg: RunConfig, outdir: Path) -> dict:
     f = _forcing_field(cfg.grid, cfg.kick.seed + 9001, cfg.exp.f_H2)
-    params = _sim_params(cfg, f=f)
-
-    def member(i: int):
+    forcing_at = (lambda t: f) if f is not None else None
+    diags = []
+    for i in range(cfg.exp.n_ic):
         v0 = _scaled_ic(cfg.grid, cfg.kick.seed + i, cfg.exp.R)
-        diag, _ = record_trajectory(v0, params, cfg.record_every)
+        diag, _ = record_trajectory(v0, cfg.sim, cfg.record_every, forcing_at)
         write_trajectory_csv(outdir / f"absorb_{i}.csv", diag)
-        return diag
-
-    diags = _pmap(member, range(cfg.exp.n_ic))
-    rep = detect_absorbing(diags, window=cfg.exp.window_frac * params.t_end)
+        diags.append(diag)
+    rep = detect_absorbing(diags, window=cfg.exp.window_frac * cfg.sim.t_end)
     report = {"K_ball": rep.K_ball, "T_V": rep.T_V, "stayed": rep.stayed,
               "inconclusive": rep.inconclusive, "f_H2": cfg.exp.f_H2}
     if not all(rep.stayed):
@@ -243,15 +200,14 @@ def measure_T_V(cfg: RunConfig, n_probes: int = 3,
     |v0|_V^2 = 4R down to eps = R, take the worst decay time, and apply a
     safety factor (floored at 0.01 so the operator always advances)."""
     R = cfg.kick.R
-    params = _sim_params(cfg)
     times = []
     for i in range(n_probes):
         v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 5000 + i, 4.0 * R)
-        diag, _ = record_trajectory(v0, params, cfg.record_every)
+        diag, _ = record_trajectory(v0, cfg.sim, cfg.record_every)
         T = measure_decay_time(diag, R) if R > 0 else 0.0
         if T is None:
             raise ExperimentFailure(
-                f"T_V(4R, R) not reached within t_end={params.t_end}")
+                f"T_V(4R, R) not reached within t_end={cfg.sim.t_end}")
         times.append(T)
     return max(safety * max(times), 0.01), times
 
@@ -262,21 +218,16 @@ def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
         T, probe_times = cfg.kick.T, []
     else:
         T, probe_times = measure_T_V(cfg)
-    params = _sim_params(cfg)
-
-    def member(k: int):
-        kc = KickConfig(T=T, R=R, n_modes=cfg.kick.n_modes,
-                        seed=cfg.kick.seed, N=cfg.kick.N,
-                        burn_in=cfg.kick.burn_in)
+    kc = replace(cfg.kick, T=T)
+    results = []
+    for k in range(cfg.exp.n_chains):
         v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 100 + k, R)
-        trace, pooled, windows = run_chain(kc, params, v0, chain_index=k)
+        trace, pooled, windows = run_chain(kc, cfg.sim, v0, chain_index=k)
         write_chain_csv(outdir / f"chain_{k}.csv", trace)
         _write_json(outdir / f"measure_{k}.json", pooled.to_dict())
         series = [wasserstein1_measures(a, b, "E2")
                   for a, b in zip(windows, windows[1:])]
-        return trace, pooled, series
-
-    results = _pmap(member, range(cfg.exp.n_chains))
+        results.append((trace, pooled, series))
     max_E2 = max(float(tr.E2.max()) for tr, _, _ in results) if results else 0.0
     pooled_E2 = [p.samples["E2"] for _, p, _ in results]
     report = {
@@ -331,10 +282,9 @@ def run_diag(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def run_probe(cfg: RunConfig, outdir: Path) -> dict:
-    params = _sim_params(cfg)
     v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 1, cfg.exp.R)
     w = random_smooth_field(np.random.default_rng(cfg.kick.seed + 2), cfg.grid)
-    ratios = continuity_probe(v0, w, list(cfg.exp.deltas), cfg.exp.probe_t, params)
+    ratios = continuity_probe(v0, w, list(cfg.exp.deltas), cfg.exp.probe_t, cfg.sim)
     spread = max(ratios) / min(ratios)
     report = {"t": cfg.exp.probe_t, "deltas": list(cfg.exp.deltas),
               "ratios": ratios, "spread": spread}
@@ -357,7 +307,6 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
         cfg = replace(cfg, kick=replace(cfg.kick, seed=seed))
     if output is not None:
         cfg = replace(cfg, output_dir=output)
-    cfg.validate()
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:

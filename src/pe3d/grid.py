@@ -1,4 +1,4 @@
-"""Discretized box domain, boundary classification, and discrete operators.
+"""Discretized box domain, quadrature weights, and discrete operators.
 
 The domain is the box [0, L1] x [0, L2] x [-h, 0] on a collocated,
 node-centered grid with (n1+1) x (n2+1) x (nz+1) nodes.  Array axes are
@@ -11,7 +11,6 @@ Boundary conditions baked into the stencils:
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
@@ -71,31 +70,6 @@ class GridSpec:
 
     def meshgrid(self):
         return np.meshgrid(self.x(), self.y(), self.z(), indexing="ij")
-
-
-class BoundaryClass(enum.IntEnum):
-    INTERIOR = 0
-    TOP = 1      # Gamma_t: z = 0 face minus edges shared with the sides
-    BOTTOM = 2   # Gamma_b: z = -h face minus edges shared with the sides
-    SIDE = 3     # Gamma_s: x/y faces
-    EDGE = 4     # nodes where Gamma_t or Gamma_b meets Gamma_s
-
-
-@functools.lru_cache(maxsize=32)
-def classify_nodes(grid: GridSpec) -> np.ndarray:
-    """Per-node boundary labels.  Labels partition the node set; Dirichlet
-    (side) wins at edges via the EDGE label."""
-    lab = np.full(grid.shape, int(BoundaryClass.INTERIOR), dtype=np.int8)
-    lab[:, :, -1] = BoundaryClass.TOP
-    lab[:, :, 0] = BoundaryClass.BOTTOM
-    side = np.zeros(grid.shape, dtype=bool)
-    side[0, :, :] = side[-1, :, :] = True
-    side[:, 0, :] = side[:, -1, :] = True
-    horiz = (lab == BoundaryClass.TOP) | (lab == BoundaryClass.BOTTOM)
-    lab[side & ~horiz] = BoundaryClass.SIDE
-    lab[side & horiz] = BoundaryClass.EDGE
-    lab.setflags(write=False)
-    return lab
 
 
 def _trapezoid_weights(n: int, d: float) -> np.ndarray:

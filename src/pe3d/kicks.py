@@ -25,14 +25,17 @@ from .fields import HorizontalField, apply_bc, laplacian3
 from .grid import GridSpec, weights3
 from .norms import norm_H, norm_L6, norm_K, norm_V
 from .projection import project_H
-from .sampling import mode_stream_functions, stream_function_field, vertical_modes
+from .sampling import mode_sum
 
 OBSERVABLES = ("H2", "E2", "J", "K")
 
 
 @dataclass(frozen=True)
 class KickConfig:
-    T: float = 0.5
+    """The [kick] block of a run configuration.  T = 0 means: measure
+    T_V(4R, R) before running; a chain itself needs T > 0."""
+
+    T: float = 0.0
     R: float = 0.25
     n_modes: int = 2
     seed: int = 0
@@ -40,14 +43,14 @@ class KickConfig:
     burn_in: int = 50
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise InputError("KickConfig: inter-kick time T must be positive")
+        if self.T < 0:
+            raise InputError("kick.T must be nonnegative (0 = auto-measure)")
         if self.R < 0:
-            raise InputError("KickConfig: kick bound R must be nonnegative")
+            raise InputError("kick.R must be nonnegative")
         if not (0 <= self.burn_in < self.N):
-            raise InputError("KickConfig: need 0 <= burn_in < N")
+            raise InputError("kick.burn_in must satisfy 0 <= burn_in < N")
         if self.n_modes < 1:
-            raise InputError("KickConfig: n_modes must be >= 1")
+            raise InputError("kick.n_modes must be >= 1")
 
 
 @dataclass
@@ -76,33 +79,19 @@ def _lap2_norm2(xi: HorizontalField) -> float:
 def _base_amplitude(grid: GridSpec, n_modes: int, R: float) -> float:
     """Scale so a typical raw draw has |lap xi|^2 around R/4; computed from
     the deterministic all-ones-coefficients draw."""
-    ref = _assemble(grid, n_modes, np.ones(n_modes ** 3))
+    ref = mode_sum(grid, n_modes, np.ones(n_modes ** 3))
     raw = _lap2_norm2(ref)
     return 0.0 if R == 0 or raw == 0 else 1.5 * np.sqrt(R / raw)
 
 
-def _assemble(grid: GridSpec, n_modes: int, coeffs: np.ndarray) -> HorizontalField:
-    psis = mode_stream_functions(grid, n_modes)
-    zmodes = vertical_modes(grid, n_modes)
-    out = HorizontalField.zeros(grid)
-    idx = 0
-    for m in range(1, n_modes + 1):
-        for n in range(1, n_modes + 1):
-            psi = psis[(m - 1) * n_modes + (n - 1)]
-            for k, phi in enumerate(zmodes):
-                w = 1.0 / (1.0 + m * m + n * n + k * k) ** 2
-                out = out + (w * coeffs[idx]) * stream_function_field(psi, grid, phi)
-                idx += 1
-    return apply_bc(out)
-
-
 def draw_kick(rng: np.random.Generator, grid: GridSpec, config: KickConfig) -> KickDraw:
-    """One kick with full metadata; see sample_kick for the plain field."""
+    """Random kick bounded by |lap xi|_{L2}^2 <= R (and, as a safeguard for
+    the chain boundedness induction, |xi|_V^2 <= R), with its metadata."""
     if config.R == 0.0:
         return KickDraw(HorizontalField.zeros(grid), 0.0, 0.0, False, False)
     coeffs = rng.uniform(-1.0, 1.0, size=config.n_modes ** 3)
     xi = (_base_amplitude(grid, config.n_modes, config.R)
-          * _assemble(grid, config.n_modes, coeffs))
+          * mode_sum(grid, config.n_modes, coeffs))
     lap2 = _lap2_norm2(xi)
     rescaled = lap2 > config.R
     if rescaled:
@@ -116,13 +105,6 @@ def draw_kick(rng: np.random.Generator, grid: GridSpec, config: KickConfig) -> K
         lap2 *= s * s
         V2 = config.R
     return KickDraw(xi, lap2, V2, rescaled, v_rescaled)
-
-
-def sample_kick(rng: np.random.Generator, grid: GridSpec,
-                config: KickConfig) -> HorizontalField:
-    """Random kick bounded by |lap xi|_{L2}^2 <= R (and, as a safeguard for
-    the chain boundedness induction, |xi|_V^2 <= R)."""
-    return draw_kick(rng, grid, config).xi
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +174,13 @@ def _observe(v: HorizontalField) -> tuple[float, float, float, float]:
 
 def run_chain(config: KickConfig, params: SimulationParams,
               v0: HorizontalField, chain_index: int = 0,
-              n_windows: int = 5,
-              warn=None) -> tuple[ChainTrace, EmpiricalMeasure, list[EmpiricalMeasure]]:
+              n_windows: int = 5) -> tuple[ChainTrace, EmpiricalMeasure, list[EmpiricalMeasure]]:
     """Iterate the chain N times; pool post-burn-in observable samples into
     an EmpiricalMeasure, plus equal-width windowed measures for convergence
     diagnostics."""
-    if norm_V(v0) ** 2 > config.R and warn is not None:
-        warn(f"initial state has |v0|_V^2 = {norm_V(v0)**2:.4g} > R = {config.R}")
+    if config.T <= 0:
+        raise InputError("run_chain: inter-kick time T must be positive "
+                         "(T = 0 in a config means: measure T_V first)")
     state = ChainState(n=0, X=apply_bc(project_H(v0)), rng=chain_rng(config, chain_index))
     rows = []
     for _ in range(config.N):

@@ -1,5 +1,5 @@
-"""Projection onto vertically-averaged divergence-free fields, the operator
-A, and the 2D Poisson solver.
+"""Projection onto vertically-averaged divergence-free fields, and the
+operator A with its smallest eigenvalue.
 
 The projection is realized as the exact orthogonal projection (in the
 weighted H inner product, within the subspace of fields vanishing on the
@@ -17,7 +17,6 @@ constraint residual at solver precision.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,63 +30,6 @@ from .norms import inner_H, norm_H
 
 #: default absolute tolerance on the constraint residual of projected fields
 PROJ_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class PoissonSolveParams:
-    rel_tol: float = 1e-10
-    max_iter: int | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise InputError("rel_tol must lie in (0, 1)")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise InputError("max_iter must be >= 1")
-
-    def iters(self, grid: GridSpec) -> int:
-        return self.max_iter if self.max_iter is not None else 10 * grid.n1 * grid.n2
-
-
-# ---------------------------------------------------------------------------
-# 2D Neumann Poisson solve (compact 5-point stencil)
-# ---------------------------------------------------------------------------
-
-def neumann_lap2(q: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Compact 5-point horizontal Laplacian with homogeneous Neumann ghosts
-    (even reflection)."""
-    out = np.zeros_like(q)
-    for axis, d in ((0, grid.d1), (1, grid.d2)):
-        f = np.moveaxis(q, axis, 0)
-        o = np.moveaxis(out, axis, 0)
-        d2 = d * d
-        o[1:-1] += (f[2:] - 2.0 * f[1:-1] + f[:-2]) / d2
-        o[0] += 2.0 * (f[1] - f[0]) / d2
-        o[-1] += 2.0 * (f[-2] - f[-1]) / d2
-    return out
-
-
-def _mean0(q: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    return q - np.sum(w2 * q) / np.sum(w2)
-
-
-def solve_poisson_neumann(rhs: np.ndarray, grid: GridSpec,
-                          params: PoissonSolveParams | None = None) -> np.ndarray:
-    """Solve lap2 q = rhs - mean(rhs) with homogeneous Neumann conditions;
-    returns the zero-mean solution.  The mean removal handles the pure
-    Neumann compatibility condition."""
-    if rhs.shape != grid.shape2:
-        raise InputError(f"rhs shape {rhs.shape} does not match grid {grid.shape2}")
-    params = params or PoissonSolveParams()
-    w2 = weights2(grid)
-    b = _mean0(rhs, w2)
-
-    def apply_op(x):
-        # -lap2 is SPD on the zero-mean subspace; keep iterates pinned there
-        return _mean0(-neumann_lap2(x, grid), w2)
-
-    q = weighted_cg(apply_op, -b, w2, rel_tol=params.rel_tol,
-                    max_iter=params.iters(grid), label="poisson-neumann")
-    return _mean0(q, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +53,6 @@ def _constraint_ops(grid: GridSpec):
     vector field), the ring mask / inverse-weight diagonal, the Schur factor,
     and the interior quadrature weights."""
     n1, n2 = grid.n1, grid.n2
-    N2 = (n1 + 1) * (n2 + 1)
     Dx = _centered_diff_matrix(n1, grid.d1)
     Dy = _centered_diff_matrix(n2, grid.d2)
     I1 = sp.identity(n1 + 1, format="csr")
@@ -145,7 +86,7 @@ def constraint_residual(v: HorizontalField) -> float:
     return float(np.sqrt(np.sum(w2_int * r * r)))
 
 
-def project_H(w: HorizontalField, params: PoissonSolveParams | None = None) -> HorizontalField:
+def project_H(w: HorizontalField) -> HorizontalField:
     """Project onto the discrete space H: subtract the H-orthogonal
     correction (z-independent across the free levels, zero on the Dirichlet
     faces) that annihilates the interior constraint residual."""
@@ -193,14 +134,11 @@ def _seed_field(grid: GridSpec) -> HorizontalField:
     return stream_function_field(psi, grid)
 
 
-def smallest_eigenvalue_A(grid: GridSpec,
-                          params: PoissonSolveParams | None = None,
-                          rq_tol: float = 1e-8,
+def smallest_eigenvalue_A(grid: GridSpec, rq_tol: float = 1e-8,
                           max_outer: int = 200) -> float:
     """Smallest eigenvalue of A by inverse power iteration; each step is one
     implicit solve with apply_A (weighted CG), iterated until the Rayleigh
     quotient settles to rq_tol relative."""
-    params = params or PoissonSolveParams()
     vol = weights3(grid)[None, :, :, :]
 
     def apply_op(data):

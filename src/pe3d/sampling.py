@@ -30,39 +30,31 @@ def stream_function_field(psi: np.ndarray, grid: GridSpec,
     return apply_bc(HorizontalField.from_components(u1, u2, grid))
 
 
-def mode_stream_functions(grid: GridSpec, n_modes: int) -> list[np.ndarray]:
-    """sin^2(m pi x / L1) sin^2(n pi y / L2) stream functions; their
-    perpendicular gradients vanish on all side faces."""
+def mode_sum(grid: GridSpec, n_modes: int, coeffs: np.ndarray) -> HorizontalField:
+    """Sum over m, n = 1..n_modes and k = 0..n_modes-1 of
+    coeffs[idx] / (1 + m^2 + n^2 + k^2)^2 times the perpendicular gradient of
+    sin^2(m pi x / L1) sin^2(n pi y / L2) with the vertical profile
+    cos((k + 1/2) pi z / h) (zero at the bottom, flat at the top); idx runs
+    over (m, n, k) in row-major order.  Every term vanishes on the side
+    faces, so the sum lies in H."""
     x = grid.x()[:, None] / grid.L1
     y = grid.y()[None, :] / grid.L2
-    out = []
+    zmodes = [np.cos((k + 0.5) * np.pi * grid.z() / grid.h) for k in range(n_modes)]
+    out = HorizontalField.zeros(grid)
+    idx = 0
     for m in range(1, n_modes + 1):
         sx = np.sin(m * np.pi * x) ** 2
         for n in range(1, n_modes + 1):
-            out.append(sx * np.sin(n * np.pi * y) ** 2)
-    return out
-
-
-def vertical_modes(grid: GridSpec, n_modes: int) -> list[np.ndarray]:
-    """cos((k + 1/2) pi z / h): zero at the bottom, flat at the top."""
-    z = grid.z()
-    return [np.cos((k + 0.5) * np.pi * z / grid.h) for k in range(n_modes)]
+            psi = sx * np.sin(n * np.pi * y) ** 2
+            for k, phi in enumerate(zmodes):
+                w = 1.0 / (1.0 + m * m + n * n + k * k) ** 2
+                out = out + (w * coeffs[idx]) * stream_function_field(psi, grid, phi)
+                idx += 1
+    return apply_bc(out)
 
 
 def random_smooth_field(rng: np.random.Generator, grid: GridSpec,
                         n_modes: int = 3) -> HorizontalField:
-    """Random smooth field in the discrete space H: uniform(-1, 1) mode
-    coefficients with 1 / (1 + m^2 + n^2 + k^2)^2 decay weights."""
-    psis = mode_stream_functions(grid, n_modes)
-    zmodes = vertical_modes(grid, n_modes)
-    out = HorizontalField.zeros(grid)
-    idx = 0
-    for m in range(1, n_modes + 1):
-        for n in range(1, n_modes + 1):
-            psi = psis[idx]
-            idx += 1
-            for k, phi in enumerate(zmodes):
-                w = 1.0 / (1.0 + m * m + n * n + k * k) ** 2
-                a = w * rng.uniform(-1.0, 1.0)
-                out = out + a * stream_function_field(psi, grid, phi)
-    return apply_bc(out)
+    """Random smooth field in the discrete space H: the mode sum with
+    uniform(-1, 1) coefficients."""
+    return mode_sum(grid, n_modes, rng.uniform(-1.0, 1.0, size=n_modes ** 3))

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sym
 
-from .dynamics import SimulationParams, SimState, step
-from .fields import HorizontalField, apply_bc
+from .dynamics import SimulationParams, integrate
+from .fields import HorizontalField
 from .grid import GridSpec
 from .norms import norm_H
-from .projection import project_H
 
 
 @dataclass(frozen=True)
@@ -108,12 +107,9 @@ def _run_case(grid: GridSpec, nu: float, t_end: float, dt: float,
     """Advance the discretized analytic initial state to t_end with fixed dt
     and the symbolic source; return the H-norm error."""
     params = SimulationParams(nu=nu, dt_max=dt, cfl=1.0, t_end=t_end)
-    state = SimState(t=0.0, v=apply_bc(project_H(_eval_pair(fv, grid, 0.0))))
-    while state.t < t_end - 1e-12:
-        forcing = _eval_pair(fs, grid, state.t)
-        state = step(state, params, forcing=forcing, dt_cap=t_end - state.t)
-    exact = _eval_pair(fv, grid, state.t)
-    return norm_H(state.v - exact)
+    state = integrate(_eval_pair(fv, grid, 0.0), t_end, params,
+                      forcing_at=lambda t: _eval_pair(fs, grid, t))
+    return norm_H(state.v - _eval_pair(fv, grid, state.t))
 
 
 def verify_manufactured(params: SimulationParams,

@@ -93,15 +93,15 @@ F_H2 = 0.1
 
 def _absorb_ensemble(t_end: float):
     f = _forcing(GRID16, 4000, F_H2)
-    params = SimulationParams(nu=1.0, dt_max=0.02, cfl=0.4, t_end=t_end,
-                              forcing_mode="constant", f=f)
+    params = SimulationParams(nu=1.0, dt_max=0.02, cfl=0.4, t_end=t_end)
     out = []
     for i in range(5):
         v0 = _scaled_ic(GRID16, 400 + i, 1.0)
         # record every step: with E2(0) = 1 a coarser record spacing makes
         # the first single-step integral alone exceed the eta budget in
         # criterion 5, which would force a degenerate partition interval
-        diag, _ = record_trajectory(v0, params, record_every=1)
+        diag, _ = record_trajectory(v0, params, record_every=1,
+                                    forcing_at=lambda t: f)
         out.append(diag)
     return out
 
@@ -149,9 +149,9 @@ def test_criterion_2_energy_inequality():
     # 2 nu int E2 dt <= H2(0) + T |f|_H^2 (the Poincaré constant here is
     # far above 1, which is what lets the forcing term absorb into |f|^2)
     f = _forcing(GRID24, 4000, F_H2)
-    fp = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4, t_end=2.0,
-                          forcing_mode="constant", f=f)
-    diag, _ = record_trajectory(_scaled_ic(GRID24, 250, 1.0), fp)
+    fp = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4, t_end=2.0)
+    diag, _ = record_trajectory(_scaled_ic(GRID24, 250, 1.0), fp,
+                                forcing_at=lambda t: f)
     lhs = 2.0 * fp.nu * np.trapezoid(diag.E2, diag.t)
     rhs = diag.H2[0] + 2.0 * F_H2
     cumulative_ok = lhs <= rhs * (1.0 + 1e-4)
@@ -234,9 +234,9 @@ def test_criterion_5_growth_control(decay_runs_24, absorb_runs_16):
     Cs = []
     for grid in (GRID16, GRID24):
         f = _forcing(grid, 4000, F_H2)
-        params = SimulationParams(nu=1.0, dt_max=5e-3, cfl=0.4, t_end=2.0,
-                                  forcing_mode="constant", f=f)
-        diag, _ = record_trajectory(_scaled_ic(grid, 500, 0.04), params)
+        params = SimulationParams(nu=1.0, dt_max=5e-3, cfl=0.4, t_end=2.0)
+        diag, _ = record_trajectory(_scaled_ic(grid, 500, 0.04), params,
+                                    forcing_at=lambda t: f)
         Cs.append(fit_growth_constant(diag, eta, f_H2=F_H2).C)
     tiny = 1e-12
     stable = (max(Cs) < tiny) or (min(Cs) > 0

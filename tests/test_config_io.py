@@ -1,5 +1,6 @@
-"""Configuration parsing/serialization, snapshot files, and CSV schemas."""
+"""Configuration parsing/serialization and CSV schemas."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import raw_field
-from pe3d.config import (ExperimentBlock, KickBlock, RunConfig, SimBlock,
-                         parse_config, serialize_config)
+from pe3d.config import (ExperimentBlock, RunConfig, parse_config,
+                         serialize_config)
+from pe3d.dynamics import SimulationParams
 from pe3d.errors import InputError
 from pe3d.estimates import TrajectoryDiagnostics
 from pe3d.experiments import (CHAIN_HEADER, TRAJECTORY_HEADER, _write_json,
                               read_trajectory_csv, write_chain_csv,
                               write_trajectory_csv)
 from pe3d.grid import GridSpec
-from pe3d.kicks import ChainTrace
-from pe3d.snapshots import read_snapshot, write_snapshot
+from pe3d.kicks import ChainTrace, KickConfig
 
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = """
 experiment = decay
@@ -34,8 +37,8 @@ class TestConfigParsing:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.experiment == "decay"
-        assert cfg.sim == SimBlock()
-        assert cfg.kick == KickBlock()
+        assert cfg.sim == SimulationParams()
+        assert cfg.kick == KickConfig()
         assert cfg.exp == ExperimentBlock()
         assert cfg.record_every == 1
 
@@ -85,6 +88,16 @@ class TestConfigParsing:
         cfg = parse_config(MINIMAL + "[experiment]\ndeltas = 1e-2,1e-4\n")
         assert cfg.exp.deltas == (1e-2, 1e-4)
 
+    @pytest.mark.parametrize("path", sorted(
+        str(p.relative_to(ROOT)) for d in ("configs", "bench/configs")
+        for p in (ROOT / d).glob("*.cfg")))
+    def test_shipped_configs_parse(self, path):
+        # every config in the repository, the benchmark's included, names
+        # its experiment in its file name
+        cfg = parse_config((ROOT / path).read_text())
+        assert Path(path).stem.startswith(cfg.experiment)
+        assert parse_config(serialize_config(cfg)) == cfg
+
 
 _floats = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False,
                     allow_infinity=False)
@@ -100,12 +113,12 @@ def run_configs(draw):
         grid=GridSpec(L1=draw(_floats), L2=draw(_floats), h=draw(_floats),
                       n1=draw(st.integers(4, 32)), n2=draw(st.integers(4, 32)),
                       nz=draw(st.integers(4, 32))),
-        sim=SimBlock(nu=draw(_floats), dt_max=draw(_floats),
-                     cfl=draw(st.floats(0.01, 1.0)), t_end=draw(_floats)),
-        kick=KickBlock(T=draw(st.floats(0.0, 10.0)), R=draw(st.floats(0.0, 10.0)),
-                       n_modes=draw(st.integers(1, 4)),
-                       seed=draw(st.integers(0, 2 ** 31)),
-                       N=draw(st.integers(2, 1000)), burn_in=draw(st.integers(0, 1))),
+        sim=SimulationParams(nu=draw(_floats), dt_max=draw(_floats),
+                             cfl=draw(st.floats(0.01, 1.0)), t_end=draw(_floats)),
+        kick=KickConfig(T=draw(st.floats(0.0, 10.0)), R=draw(st.floats(0.0, 10.0)),
+                        n_modes=draw(st.integers(1, 4)),
+                        seed=draw(st.integers(0, 2 ** 31)),
+                        N=draw(st.integers(2, 1000)), burn_in=draw(st.integers(0, 1))),
         exp=ExperimentBlock(R=draw(_floats), eps=draw(_floats),
                             n_ic=draw(st.integers(1, 10)),
                             n_chains=draw(st.integers(1, 10)),
@@ -124,66 +137,6 @@ class TestConfigRoundTrip:
     @given(run_configs())
     def test_serialize_then_parse_is_identity(self, cfg):
         assert parse_config(serialize_config(cfg)) == cfg
-
-
-class TestSnapshots:
-    def test_bitwise_roundtrip(self, tmp_path, rng):
-        grid = GridSpec(L1=1.3, L2=0.9, h=1.1, n1=5, n2=7, nz=4)
-        v = raw_field(grid, rng)
-        path = tmp_path / "f.pe3d"
-        write_snapshot(path, v, t=0.75)
-        w, t = read_snapshot(path)
-        assert t == 0.75 and w.grid == grid
-        assert np.array_equal(v.data, w.data)
-        first = path.read_bytes()
-        write_snapshot(path, w, t)
-        assert path.read_bytes() == first
-
-    def test_wire_order_is_z_major(self, tmp_path):
-        grid = GridSpec(n1=4, n2=4, nz=4)
-        import pe3d.fields as F
-        v = F.HorizontalField.zeros(grid)
-        v.u1[1, 2, 3] = 9.0
-        path = tmp_path / "f.pe3d"
-        write_snapshot(path, v, 0.0)
-        from pe3d.snapshots import _HEADER
-        payload = np.frombuffer(path.read_bytes()[_HEADER.size:], dtype="<f8")
-        idx = (3 * 5 + 2) * 5 + 1  # (iz * (n2+1) + iy) * (n1+1) + ix
-        assert payload[idx] == 9.0
-
-    def test_corrupted_magic(self, tmp_path, rng):
-        grid = GridSpec(n1=4, n2=4, nz=4)
-        path = tmp_path / "f.pe3d"
-        write_snapshot(path, raw_field(grid, rng), 0.0)
-        data = bytearray(path.read_bytes())
-        data[:4] = b"JUNK"
-        path.write_bytes(bytes(data))
-        with pytest.raises(InputError, match="magic"):
-            read_snapshot(path)
-
-    def test_future_version_rejected(self, tmp_path, rng):
-        grid = GridSpec(n1=4, n2=4, nz=4)
-        path = tmp_path / "f.pe3d"
-        write_snapshot(path, raw_field(grid, rng), 0.0)
-        data = bytearray(path.read_bytes())
-        data[4:8] = (99).to_bytes(4, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(InputError, match="version"):
-            read_snapshot(path)
-
-    def test_truncated_payload(self, tmp_path, rng):
-        grid = GridSpec(n1=4, n2=4, nz=4)
-        path = tmp_path / "f.pe3d"
-        write_snapshot(path, raw_field(grid, rng), 0.0)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(InputError, match="payload"):
-            read_snapshot(path)
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "f.pe3d"
-        path.write_bytes(b"PE3D")
-        with pytest.raises(InputError, match="header"):
-            read_snapshot(path)
 
 
 def _mk_diag(rng, n=20):

@@ -10,11 +10,12 @@ from pe3d import dynamics
 from pe3d import grid as grid_mod
 from pe3d.dynamics import (SimState, SimulationParams, _implicit_diffusion,
                            _separable_solve, _zero_dirichlet, cfl_dt,
-                           nonlinear_B, solve_S, step)
+                           integrate, nonlinear_B, solve_S, step)
 from pe3d.errors import DivergenceError, InputError
 from pe3d.fields import HorizontalField, apply_bc
 from pe3d.grid import GridSpec
-from pe3d.norms import inner_H, norm_H, norm_V
+from pe3d.kicks import KickConfig, run_chain
+from pe3d.norms import inner_H, norm_H, norm_V, norm_report
 from pe3d.projection import project_H
 from pe3d.sampling import random_smooth_field
 
@@ -27,16 +28,11 @@ def smooth8():
 
 class TestSimulationParams:
     @pytest.mark.parametrize("kw", [dict(nu=0.0), dict(cfl=1.5),
-                                    dict(dt_max=-1.0),
-                                    dict(forcing_mode="impulsive"),
-                                    dict(forcing_mode="constant")])
+                                    dict(dt_max=-1.0), dict(t_end=-1.0),
+                                    dict(cfl=0.0)])
     def test_invalid_rejected(self, kw):
         with pytest.raises(InputError):
             SimulationParams(**kw)
-
-    def test_zero_mode_rejects_forcing_field(self, grid8):
-        with pytest.raises(InputError):
-            SimulationParams(forcing_mode="zero", f=HorizontalField.zeros(grid8))
 
 
 class TestNonlinearTerm:
@@ -191,11 +187,45 @@ class TestStepper:
     def test_constant_forcing_balances(self, grid8):
         # with constant forcing the state approaches a nonzero equilibrium
         f = 0.1 * random_smooth_field(np.random.default_rng(9), grid8)
-        params = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4,
-                                  forcing_mode="constant", f=f)
-        out = solve_S(HorizontalField.zeros(grid8), 1.0, params)
+        params = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4)
+        out = solve_S(HorizontalField.zeros(grid8), 1.0, params,
+                      forcing_at=lambda t: f)
         assert norm_H(out) > 0.0
 
     def test_divergence_error_carries_diagnostics(self):
         e = DivergenceError("boom", diagnostics={"t": 1.0})
         assert e.diagnostics["t"] == 1.0
+
+
+class TestIntegrate:
+    def test_solve_S_computes_no_norm_report(self, smooth8, monkeypatch):
+        calls = []
+
+        def counting(v):
+            calls.append(1)
+            return norm_report(v)
+
+        monkeypatch.setattr(dynamics, "norm_report", counting)
+        solve_S(smooth8, 0.05, SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4))
+        assert calls == []
+
+    def test_on_step_sees_one_record_per_step(self, smooth8):
+        params = SimulationParams(nu=1.0, dt_max=0.007, cfl=0.4)
+        seen = []
+
+        def on_step(before, after, record):
+            assert after.step_count == before.step_count + 1
+            assert after.t == before.t + record["dt"]
+            seen.append(record)
+
+        state = integrate(smooth8, 0.05, params, on_step=on_step)
+        assert len(seen) == state.step_count > 1
+        assert all(set(r) == {"dt", "report", "H2_old", "slack"} for r in seen)
+        assert state.t == pytest.approx(0.05, rel=1e-14)
+        # the recorded steps are the steps of the unrecorded run
+        assert np.array_equal(state.v.data, solve_S(smooth8, 0.05, params).data)
+
+    def test_run_chain_rejects_zero_T(self, smooth8):
+        with pytest.raises(InputError, match="T must be positive"):
+            run_chain(KickConfig(T=0.0, N=4, burn_in=0), SimulationParams(),
+                      smooth8)

@@ -9,7 +9,7 @@ from pe3d.cli import main
 from pe3d.config import parse_config
 from pe3d import experiments
 from pe3d.errors import DivergenceError, InputError
-from pe3d.experiments import TRAJECTORY_HEADER, n_workers, run_experiment
+from pe3d.experiments import TRAJECTORY_HEADER, run_experiment
 
 
 TINY = """
@@ -34,22 +34,6 @@ n_ic = 2
 
 def _cfg(text=TINY):
     return parse_config(text)
-
-
-class TestWorkerCap:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("PE3D_THREADS", raising=False)
-        assert n_workers() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PE3D_THREADS", "4")
-        assert n_workers() == 4
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-2"])
-    def test_invalid_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("PE3D_THREADS", bad)
-        with pytest.raises(InputError):
-            n_workers()
 
 
 class TestDecayDriver:
@@ -87,14 +71,6 @@ class TestDecayDriver:
         run_experiment(_cfg(), seed=99, output=str(tmp_path / "b"))
         assert ((tmp_path / "a" / "decay_0.csv").read_bytes()
                 != (tmp_path / "b" / "decay_0.csv").read_bytes())
-
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        run_experiment(_cfg(), output=str(tmp_path / "serial"))
-        monkeypatch.setenv("PE3D_THREADS", "2")
-        run_experiment(_cfg(), output=str(tmp_path / "par"))
-        for name in ("decay_0.csv", "decay_1.csv"):
-            assert ((tmp_path / "serial" / name).read_bytes()
-                    == (tmp_path / "par" / name).read_bytes())
 
 
 class TestFailurePaths:

@@ -1,4 +1,5 @@
-"""HorizontalField mechanics, boundary conditions, and diagnostics."""
+"""HorizontalField mechanics, boundary conditions, diagnostics, and the
+smooth-field sampler."""
 
 import numpy as np
 import pytest
@@ -102,3 +103,28 @@ class TestU3Diagnostic:
 
         e1, e2 = err(8), err(16)
         assert e1 / e2 > 3.0
+
+
+class TestSampling:
+    @staticmethod
+    def _scalar_draw_reference(rng, grid, n_modes=3):
+        """The mode sum drawing one scalar coefficient per (m, n, k) term."""
+        x = grid.x()[:, None] / grid.L1
+        y = grid.y()[None, :] / grid.L2
+        out = HorizontalField.zeros(grid)
+        for m in range(1, n_modes + 1):
+            for n in range(1, n_modes + 1):
+                psi = np.sin(m * np.pi * x) ** 2 * np.sin(n * np.pi * y) ** 2
+                for k in range(n_modes):
+                    phi = np.cos((k + 0.5) * np.pi * grid.z() / grid.h)
+                    w = 1.0 / (1.0 + m * m + n * n + k * k) ** 2
+                    out = out + (w * rng.uniform(-1.0, 1.0)) * stream_function_field(
+                        psi, grid, phi)
+        return apply_bc(out)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_vector_draws_match_scalar_draws(self, seed):
+        grid = GridSpec(L1=1.5, L2=0.8, h=1.2, n1=6, n2=7, nz=5)
+        got = random_smooth_field(np.random.default_rng(seed), grid)
+        ref = self._scalar_draw_reference(np.random.default_rng(seed), grid)
+        assert np.array_equal(got.data, ref.data)

@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from pe3d.errors import InputError
-from pe3d.grid import (BoundaryClass, GridSpec, classify_nodes,
-                       cumulative_z_integral, diff_onesided2, diff_sbp, div2,
-                       laplacian_bc, vertical_integral, weights2, weights3)
+from pe3d.grid import (GridSpec, cumulative_z_integral, diff_onesided2,
+                       diff_sbp, div2, laplacian_bc, vertical_integral,
+                       weights2, weights3)
 
 
 class TestGridSpec:
@@ -27,24 +27,6 @@ class TestGridSpec:
     def test_invalid_spec_rejected(self, kw):
         with pytest.raises(InputError):
             GridSpec(**kw)
-
-
-class TestClassification:
-    def test_labels_partition_the_nodes(self, grid12):
-        lab = classify_nodes(grid12)
-        n1, n2, nz = grid12.n1, grid12.n2, grid12.nz
-        counts = {c: int(np.sum(lab == c)) for c in BoundaryClass}
-        assert counts[BoundaryClass.INTERIOR] == (n1 - 1) * (n2 - 1) * (nz - 1)
-        assert sum(counts.values()) == lab.size
-        # faces minus their side-edge rings
-        assert counts[BoundaryClass.TOP] == (n1 - 1) * (n2 - 1)
-        assert counts[BoundaryClass.BOTTOM] == (n1 - 1) * (n2 - 1)
-
-    def test_corners_are_edges(self, grid8):
-        lab = classify_nodes(grid8)
-        assert lab[0, 0, 0] == BoundaryClass.EDGE
-        assert lab[-1, -1, -1] == BoundaryClass.EDGE
-        assert lab[0, 3, 3] == BoundaryClass.SIDE
 
 
 class TestQuadrature:

@@ -13,7 +13,7 @@ from pe3d.errors import InputError
 from pe3d.fields import bc_residual
 from pe3d.grid import GridSpec
 from pe3d.kicks import (ChainState, EmpiricalMeasure, KickConfig, chain_rng,
-                        chain_step, draw_kick, run_chain, sample_kick,
+                        chain_step, draw_kick, run_chain,
                         wasserstein1, wasserstein1_measures)
 from pe3d.norms import norm_V
 from pe3d.projection import constraint_residual, project_H
@@ -38,7 +38,7 @@ def params():
 class TestKickDraws:
     def test_config_validation(self):
         with pytest.raises(InputError):
-            KickConfig(T=0.0)
+            KickConfig(T=-1.0)
         with pytest.raises(InputError):
             KickConfig(R=-1.0)
         with pytest.raises(InputError):
@@ -52,7 +52,7 @@ class TestKickDraws:
             assert d.V2 <= kick_cfg.R * (1.0 + 1e-12)
 
     def test_kicks_live_in_H(self, grid6, kick_cfg):
-        xi = sample_kick(chain_rng(kick_cfg, 1), grid6, kick_cfg)
+        xi = draw_kick(chain_rng(kick_cfg, 1), grid6, kick_cfg).xi
         assert bc_residual(xi) == 0.0
         assert constraint_residual(xi) < 1e-10
 
@@ -62,8 +62,8 @@ class TestKickDraws:
         assert np.all(d.xi.data == 0.0) and d.lap2 == 0.0
 
     def test_draws_are_seed_deterministic(self, grid6, kick_cfg):
-        a = sample_kick(chain_rng(kick_cfg, 2), grid6, kick_cfg)
-        b = sample_kick(chain_rng(kick_cfg, 2), grid6, kick_cfg)
+        a = draw_kick(chain_rng(kick_cfg, 2), grid6, kick_cfg).xi
+        b = draw_kick(chain_rng(kick_cfg, 2), grid6, kick_cfg).xi
         assert np.array_equal(a.data, b.data)
 
 

@@ -1,17 +1,16 @@
-"""Projection invariants, the Neumann Poisson solver, and the operator A."""
+"""Projection invariants and the operator A."""
 
 import numpy as np
 import pytest
 
 from conftest import raw_field
 from pe3d.errors import InputError
-from pe3d.fields import HorizontalField, apply_bc, bc_residual, laplacian3
-from pe3d.grid import GridSpec, weights2
+from pe3d.fields import HorizontalField, apply_bc, bc_residual
+from pe3d.grid import GridSpec
 from pe3d.norms import inner_H, norm_H, norm_V
-from pe3d.projection import (PROJ_TOL, PoissonSolveParams, apply_A,
-                             constraint_residual, neumann_lap2, project_H,
-                             rayleigh_quotient, smallest_eigenvalue_A,
-                             solve_poisson_neumann)
+from pe3d.projection import (PROJ_TOL, apply_A, constraint_residual,
+                             project_H, rayleigh_quotient,
+                             smallest_eigenvalue_A)
 from pe3d.sampling import random_smooth_field
 
 
@@ -50,41 +49,6 @@ class TestProjectionInvariants:
         v.u1[1, 1, 1] = np.inf
         with pytest.raises(InputError):
             project_H(v)
-
-
-class TestPoissonNeumann:
-    def test_discrete_eigenfunction_recovered(self, grid8):
-        # q = cos(pi x / L1) is an exact eigenfunction of the compact
-        # even-reflection stencil, including the boundary rows
-        x = grid8.x()[:, None]
-        q = np.broadcast_to(np.cos(np.pi * x / grid8.L1), grid8.shape2).copy()
-        theta = np.pi / grid8.n1
-        lam = (2.0 * np.cos(theta) - 2.0) / grid8.d1 ** 2
-        got = solve_poisson_neumann(lam * q, grid8)
-        assert np.abs(got - q).max() < 1e-8
-
-    def test_residual_small(self, grid12, rng):
-        rhs = rng.standard_normal(grid12.shape2)
-        q = solve_poisson_neumann(rhs, grid12)
-        w2 = weights2(grid12)
-        b = rhs - np.sum(w2 * rhs) / np.sum(w2)
-        r = neumann_lap2(q, grid12) - b
-        assert np.sqrt(np.sum(w2 * r * r)) < 1e-8 * np.sqrt(np.sum(w2 * b * b))
-
-    def test_zero_mean_output(self, grid12, rng):
-        q = solve_poisson_neumann(rng.standard_normal(grid12.shape2), grid12)
-        w2 = weights2(grid12)
-        assert abs(np.sum(w2 * q)) < 1e-12 * np.abs(q).max()
-
-    def test_shape_check(self, grid8):
-        with pytest.raises(InputError):
-            solve_poisson_neumann(np.zeros((3, 3)), grid8)
-
-    def test_params_validation(self):
-        with pytest.raises(InputError):
-            PoissonSolveParams(rel_tol=2.0)
-        with pytest.raises(InputError):
-            PoissonSolveParams(max_iter=0)
 
 
 class TestOperatorA:
