@@ -10,7 +10,10 @@ and forcing, implicit BC-aware diffusion, then projection.  The diffusion
 solve is exact by fast diagonalization (the operator is a Kronecker sum of
 three 1D second differences on the free nodes); its result is checked by
 the stencil residual test of the weighted CG, which would iterate further
-only if that residual exceeded DIFFUSION_RTOL.
+only if that residual exceeded DIFFUSION_RTOL.  A step evaluates the
+diagnostic vertical velocity of its state once and passes it to both
+``cfl_dt`` and ``nonlinear_B``; ``project_H`` returns BC-clean fields, so
+no boundary assignment follows it.
 
 The skew-symmetrized advection makes the discrete trilinear form
 <B(v,v), v> vanish up to the constraint residual, so the per-step energy
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .fields import HorizontalField, apply_bc, check_bc, u3_diagnostic
+from .fields import HorizontalField, check_bc, laplacian3, u3_diagnostic
 from .grid import GridSpec, diff_sbp
 from .linalg import weighted_cg
 from .norms import norm_H, norm_report
@@ -72,13 +75,14 @@ class SimState:
 
 
 def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
-                check: bool = True) -> HorizontalField:
+                check: bool = True, w3: np.ndarray | None = None) -> HorizontalField:
     """Skew-symmetrized advection
     (1/2)[(u.grad)v + div(u v)] with u = (v_adv, diagnostic u3).
 
     Both forms use the same SBP difference stencils, so the energy pairing
     <B(v,v), v> reduces to boundary terms that vanish for BC-clean,
-    constraint-satisfying states.  No projection is applied here.
+    constraint-satisfying states.  No projection is applied here.  ``w3``
+    is ``u3_diagnostic(v_adv)``, computed here if not given.
     """
     if v_adv.data.shape != v.data.shape:
         raise InputError("nonlinear_B: field shapes differ")
@@ -86,7 +90,8 @@ def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
     if check:
         check_bc(v_adv)
         check_bc(v)
-    w3 = u3_diagnostic(v_adv, g)
+    if w3 is None:
+        w3 = u3_diagnostic(v_adv, g)
     a1, a2 = v_adv.u1, v_adv.u2
     out = np.empty_like(v.data)
     for c in range(2):
@@ -141,7 +146,7 @@ def _implicit_diffusion(w: HorizontalField, dt: float, nu: float) -> HorizontalF
     vol = _grid.weights3(g)[None]
 
     def apply_op(data):
-        lap = np.stack([_grid.laplacian_bc(data[0], g), _grid.laplacian_bc(data[1], g)])
+        lap = laplacian3(HorizontalField(data, g), g, check=False).data
         return _zero_dirichlet(data - dt * nu * lap)
 
     b = _zero_dirichlet(w.data.copy())
@@ -152,11 +157,14 @@ def _implicit_diffusion(w: HorizontalField, dt: float, nu: float) -> HorizontalF
     return HorizontalField(x, g)
 
 
-def cfl_dt(v: HorizontalField, params: SimulationParams) -> float:
+def cfl_dt(v: HorizontalField, params: SimulationParams,
+           w3: np.ndarray | None = None) -> float:
+    """CFL time step from the largest velocity, vertical included; ``w3``
+    is ``u3_diagnostic(v)``, computed here if not given."""
     g = v.grid
-    vmax = max(float(np.abs(v.data).max()),
-               float(np.abs(u3_diagnostic(v, g)).max()),
-               EPS_VEL)
+    if w3 is None:
+        w3 = u3_diagnostic(v, g)
+    vmax = max(float(np.abs(v.data).max()), float(np.abs(w3).max()), EPS_VEL)
     return min(params.dt_max, params.cfl * min(g.d1, g.d2, g.dz) / vmax)
 
 
@@ -172,16 +180,18 @@ def step(state: SimState, params: SimulationParams,
     that report."""
     v = state.v
     g = v.grid
-    dt = cfl_dt(v, params)
+    w3 = u3_diagnostic(v, g)
+    dt = cfl_dt(v, params, w3)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 
-    B = nonlinear_B(v, v, check=False)
+    B = nonlinear_B(v, v, check=False, w3=w3)
+    del w3   # not needed past the advection; frees it before the solve
     w = HorizontalField(v.data - dt * B.data, g)
     if forcing is not None:
         w.data += dt * forcing.data
     vstar = _implicit_diffusion(w, dt, params.nu)
-    vnew = apply_bc(project_H(vstar))
+    vnew = project_H(vstar)
 
     if not vnew.is_finite():
         raise DivergenceError(
@@ -205,7 +215,7 @@ def reached(t: float, t_end: float) -> bool:
 
 def integrate(v0: HorizontalField, t_end: float, params: SimulationParams,
               forcing_at=None, on_step=None) -> SimState:
-    """Advance apply_bc(project_H(v0)) from t = 0 to t_end; the final
+    """Advance project_H(v0) from t = 0 to t_end; the final
     partial step lands exactly on t_end.  Deterministic for fixed inputs.
 
     ``forcing_at`` is an optional callable t -> HorizontalField giving the
@@ -215,7 +225,7 @@ def integrate(v0: HorizontalField, t_end: float, params: SimulationParams,
     it no step computes a norm report."""
     if t_end < 0:
         raise InputError("integrate: negative duration")
-    state = SimState(t=0.0, v=apply_bc(project_H(v0)))
+    state = SimState(t=0.0, v=project_H(v0))
     while not reached(state.t, t_end):
         forcing = forcing_at(state.t) if forcing_at is not None else None
         record = {} if on_step is not None else None

@@ -104,8 +104,10 @@ def laplacian3(v: HorizontalField, grid: GridSpec, check: bool = True) -> Horizo
         raise InputError("laplacian3: field grid does not match the given grid")
     if check:
         check_bc(v)
-    return HorizontalField(
-        np.stack([laplacian_bc(v.u1, grid), laplacian_bc(v.u2, grid)]), grid)
+    lap = np.empty_like(v.data)
+    for c in range(2):
+        lap[c] = laplacian_bc(v.data[c], grid)
+    return HorizontalField(lap, grid)
 
 
 def u3_diagnostic(v: HorizontalField, grid: GridSpec) -> np.ndarray:

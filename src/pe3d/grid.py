@@ -7,6 +7,9 @@ node-centered grid with (n1+1) x (n2+1) x (nz+1) nodes.  Array axes are
 Boundary conditions baked into the stencils:
   * v = 0 on the bottom and side faces (Dirichlet, odd-reflection ghosts),
   * dv/dz = 0 on the top face (Neumann, even-reflection ghosts).
+
+The difference stencils index the differentiated axis through index
+tuples cached per (ndim, axis): no axis is moved to the front and back.
 """
 
 from __future__ import annotations
@@ -104,28 +107,40 @@ def _wz(grid: GridSpec) -> np.ndarray:
 # Difference operators
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
+def _planes(ndim: int, axis: int) -> tuple[tuple, ...]:
+    """Index tuples selecting, along ``axis`` of an ndim array, the slabs
+    [1:-1], [2:], [:-2] and the planes 0, 1, 2, -1, -2, -3, in that order."""
+    def at(i):
+        idx = [slice(None)] * ndim
+        idx[axis] = i
+        return tuple(idx)
+    return tuple(at(i) for i in (slice(1, -1), slice(2, None), slice(None, -2),
+                                 0, 1, 2, -1, -2, -3))
+
+
 def diff_sbp(f: np.ndarray, d: float, axis: int) -> np.ndarray:
     """First derivative: centered in the interior, one-sided first order at
     the two end planes.  With the trapezoid weights this pair satisfies the
     summation-by-parts identity exactly, which is what makes the
     skew-symmetrized advection energy-neutral."""
-    f = np.moveaxis(f, axis, 0)
+    mid, hi, lo, p0, p1, _, m1, m2, _ = _planes(f.ndim, axis)
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
-    out[0] = (f[1] - f[0]) / d
-    out[-1] = (f[-1] - f[-2]) / d
-    return np.moveaxis(out, 0, axis)
+    out[mid] = (f[hi] - f[lo]) / (2.0 * d)
+    out[p0] = (f[p1] - f[p0]) / d
+    out[m1] = (f[m1] - f[m2]) / d
+    return out
 
 
 def diff_onesided2(f: np.ndarray, d: float, axis: int) -> np.ndarray:
     """First derivative: centered interior, one-sided second order at the
     boundary planes (used by the norm quadratures; no BC assumption)."""
-    f = np.moveaxis(f, axis, 0)
+    mid, hi, lo, p0, p1, p2, m1, m2, m3 = _planes(f.ndim, axis)
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * d)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * d)
-    return np.moveaxis(out, 0, axis)
+    out[mid] = (f[hi] - f[lo]) / (2.0 * d)
+    out[p0] = (-3.0 * f[p0] + 4.0 * f[p1] - f[p2]) / (2.0 * d)
+    out[m1] = (3.0 * f[m1] - 4.0 * f[m2] + f[m3]) / (2.0 * d)
+    return out
 
 
 def _second_diff(f: np.ndarray, d: float, axis: int, top: str) -> np.ndarray:
@@ -133,25 +148,26 @@ def _second_diff(f: np.ndarray, d: float, axis: int, top: str) -> np.ndarray:
     odd reflection (Dirichlet zero) at the low end, and either odd
     reflection (``top='dirichlet'``) or even reflection (``top='neumann'``)
     at the high end."""
-    f = np.moveaxis(f, axis, 0)
+    mid, hi, lo, p0, _, _, m1, m2, _ = _planes(f.ndim, axis)
     out = np.empty_like(f)
     d2 = d * d
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / d2
+    out[mid] = (f[hi] - 2.0 * f[mid] + f[lo]) / d2
     # odd reflection: ghost = -f[1], so the f[1] contributions cancel
-    out[0] = -2.0 * f[0] / d2
+    out[p0] = -2.0 * f[p0] / d2
     if top == "dirichlet":
-        out[-1] = -2.0 * f[-1] / d2
+        out[m1] = -2.0 * f[m1] / d2
     else:
         # even reflection: ghost = f[-2]
-        out[-1] = 2.0 * (f[-2] - f[-1]) / d2
-    return np.moveaxis(out, 0, axis)
+        out[m1] = 2.0 * (f[m2] - f[m1]) / d2
+    return out
 
 
 def laplacian_bc(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     """BC-aware 7-point Laplacian of one scalar component (no input checks)."""
-    return (_second_diff(a, grid.d1, 0, "dirichlet")
-            + _second_diff(a, grid.d2, 1, "dirichlet")
-            + _second_diff(a, grid.dz, 2, "neumann"))
+    out = _second_diff(a, grid.d1, 0, "dirichlet")
+    out += _second_diff(a, grid.d2, 1, "dirichlet")
+    out += _second_diff(a, grid.dz, 2, "neumann")
+    return out
 
 
 def _free_eigenpairs(n: int, d: float, top: str):

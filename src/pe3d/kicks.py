@@ -21,9 +21,9 @@ import numpy as np
 
 from .dynamics import SimulationParams, solve_S
 from .errors import InputError
-from .fields import HorizontalField, apply_bc, laplacian3
+from .fields import HorizontalField, laplacian3
 from .grid import GridSpec, weights3
-from .norms import norm_H, norm_L6, norm_K, norm_V
+from .norms import norm_H, norm_L6, norm_V, norm_V_K
 from .projection import project_H
 from .sampling import mode_sum
 
@@ -122,7 +122,7 @@ def chain_step(state: ChainState, config: KickConfig,
     since both summands lie in the discrete space H."""
     flowed = solve_S(state.X, config.T, params)
     draw = draw_kick(state.rng, state.X.grid, config)
-    X = apply_bc(project_H(flowed + draw.xi))
+    X = project_H(flowed + draw.xi)
     return ChainState(n=state.n + 1, X=X, rng=state.rng), draw
 
 
@@ -169,7 +169,8 @@ class EmpiricalMeasure:
 
 
 def _observe(v: HorizontalField) -> tuple[float, float, float, float]:
-    return norm_H(v) ** 2, norm_V(v) ** 2, norm_L6(v), norm_K(v)
+    E, K = norm_V_K(v)
+    return norm_H(v) ** 2, E ** 2, norm_L6(v), K
 
 
 def run_chain(config: KickConfig, params: SimulationParams,
@@ -181,7 +182,7 @@ def run_chain(config: KickConfig, params: SimulationParams,
     if config.T <= 0:
         raise InputError("run_chain: inter-kick time T must be positive "
                          "(T = 0 in a config means: measure T_V first)")
-    state = ChainState(n=0, X=apply_bc(project_H(v0)), rng=chain_rng(config, chain_index))
+    state = ChainState(n=0, X=project_H(v0), rng=chain_rng(config, chain_index))
     rows = []
     for _ in range(config.N):
         state, draw = chain_step(state, config, params)

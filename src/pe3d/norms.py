@@ -10,6 +10,8 @@ component's gradient is taken once, its z-part is both the integrand of K
 and the input of Kbar's gradient (12 one-sided differences per state).  Its
 sums run in the same order as those of norm_H, norm_V, norm_K and
 norm_Kbar, so H2, E2, K and Kbar equal the separate functions bit for bit.
+norm_V_K does the same for the pair (norm_V, norm_K) that the kick chain
+observes.
 """
 
 from __future__ import annotations
@@ -53,6 +55,19 @@ def norm_V(v: HorizontalField) -> float:
         for g in _gradient(comp, v.grid):
             s += float(np.sum(g * g * vol))
     return float(np.sqrt(s))
+
+
+def norm_V_K(v: HorizontalField) -> tuple[float, float]:
+    """norm_V and norm_K from one gradient per component; the sums run in
+    their order, so both equal the separate functions bit for bit."""
+    vol = weights3(v.grid)
+    sV = sK = 0.0
+    for comp in (v.u1, v.u2):
+        terms = [float(np.sum(g * g * vol)) for g in _gradient(comp, v.grid)]
+        for term in terms:
+            sV += term
+        sK += terms[2]
+    return float(np.sqrt(sV)), float(np.sqrt(sK))
 
 
 def norm_L6(v: HorizontalField) -> float:

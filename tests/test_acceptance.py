@@ -26,6 +26,8 @@ from pe3d.projection import (PROJ_TOL, constraint_residual, project_H,
 from pe3d.sampling import random_smooth_field
 from pe3d.verification import verify_manufactured
 
+pytestmark = pytest.mark.slow
+
 GRID16 = GridSpec(n1=16, n2=16, nz=16)
 GRID24 = GridSpec(n1=24, n2=24, nz=24)
 

@@ -12,8 +12,8 @@ from pe3d.dynamics import (SimState, SimulationParams, _implicit_diffusion,
                            _separable_solve, _zero_dirichlet, cfl_dt,
                            integrate, nonlinear_B, solve_S, step)
 from pe3d.errors import DivergenceError, InputError
-from pe3d.fields import HorizontalField, apply_bc
-from pe3d.grid import GridSpec
+from pe3d.fields import HorizontalField, apply_bc, u3_diagnostic
+from pe3d.grid import GridSpec, diff_sbp
 from pe3d.kicks import KickConfig, run_chain
 from pe3d.norms import inner_H, norm_H, norm_V, norm_report
 from pe3d.projection import project_H
@@ -35,7 +35,33 @@ class TestSimulationParams:
             SimulationParams(**kw)
 
 
+def _reference_B(v_adv, v):
+    """The skew-symmetrized advection with the vertical velocity computed
+    inside, as nonlinear_B does when no w3 is passed."""
+    g = v.grid
+    w3 = u3_diagnostic(v_adv, g)
+    a1, a2 = v_adv.u1, v_adv.u2
+    out = np.empty_like(v.data)
+    for c in range(2):
+        vc = v.data[c]
+        adv = (a1 * diff_sbp(vc, g.d1, 0)
+               + a2 * diff_sbp(vc, g.d2, 1)
+               + w3 * diff_sbp(vc, g.dz, 2))
+        dvg = (diff_sbp(a1 * vc, g.d1, 0)
+               + diff_sbp(a2 * vc, g.d2, 1)
+               + diff_sbp(w3 * vc, g.dz, 2))
+        out[c] = 0.5 * (adv + dvg)
+    return out
+
+
 class TestNonlinearTerm:
+    def test_passed_w3_matches_reference(self, grid12, rng):
+        v_adv, v = raw_field(grid12, rng), raw_field(grid12, rng)
+        ref = _reference_B(v_adv, v)
+        w3 = u3_diagnostic(v_adv, grid12)
+        assert nonlinear_B(v_adv, v, check=False, w3=w3).data.tobytes() == ref.tobytes()
+        assert nonlinear_B(v_adv, v, check=False).data.tobytes() == ref.tobytes()
+
     def test_energy_neutrality(self, smooth8):
         # the skew-symmetrized form pairs to zero against the state itself
         B = nonlinear_B(smooth8, smooth8)
@@ -153,6 +179,18 @@ class TestStepper:
             rec = {}
             state = step(state, params, record=rec)
             assert rec["slack"] <= 1e-12 * rec["H2_old"]
+
+    def test_step_evaluates_u3_once(self, smooth8, monkeypatch):
+        # cfl_dt and nonlinear_B share the step's vertical velocity
+        calls = []
+
+        def counting(v, grid):
+            calls.append(1)
+            return u3_diagnostic(v, grid)
+
+        monkeypatch.setattr(dynamics, "u3_diagnostic", counting)
+        step(SimState(t=0.0, v=smooth8), SimulationParams(nu=1.0, dt_max=0.01))
+        assert len(calls) == 1
 
     def test_dt_cap_landing(self, smooth8):
         params = SimulationParams(dt_max=0.01, cfl=1.0)

@@ -10,7 +10,8 @@ from pe3d.fields import (HorizontalField, apply_bc, bc_residual, check_bc,
                          laplacian3, u3_diagnostic)
 from pe3d.grid import GridSpec
 from pe3d.projection import constraint_residual
-from pe3d.sampling import random_smooth_field, stream_function_field
+from pe3d.sampling import (mode_sum, random_smooth_field,
+                           stream_function_field)
 
 
 class TestHorizontalField:
@@ -107,8 +108,10 @@ class TestU3Diagnostic:
 
 class TestSampling:
     @staticmethod
-    def _scalar_draw_reference(rng, grid, n_modes=3):
-        """The mode sum drawing one scalar coefficient per (m, n, k) term."""
+    def _per_mode_reference(grid, n_modes, next_coeff):
+        """The mode sum as one stream_function_field per (m, n, k) term,
+        each boundary-cleaned and added; next_coeff() gives each term's
+        coefficient in row-major (m, n, k) order."""
         x = grid.x()[:, None] / grid.L1
         y = grid.y()[None, :] / grid.L2
         out = HorizontalField.zeros(grid)
@@ -118,7 +121,7 @@ class TestSampling:
                 for k in range(n_modes):
                     phi = np.cos((k + 0.5) * np.pi * grid.z() / grid.h)
                     w = 1.0 / (1.0 + m * m + n * n + k * k) ** 2
-                    out = out + (w * rng.uniform(-1.0, 1.0)) * stream_function_field(
+                    out = out + (w * next_coeff()) * stream_function_field(
                         psi, grid, phi)
         return apply_bc(out)
 
@@ -126,5 +129,17 @@ class TestSampling:
     def test_vector_draws_match_scalar_draws(self, seed):
         grid = GridSpec(L1=1.5, L2=0.8, h=1.2, n1=6, n2=7, nz=5)
         got = random_smooth_field(np.random.default_rng(seed), grid)
-        ref = self._scalar_draw_reference(np.random.default_rng(seed), grid)
+        rng = np.random.default_rng(seed)
+        ref = self._per_mode_reference(grid, 3, lambda: rng.uniform(-1.0, 1.0))
         assert np.array_equal(got.data, ref.data)
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_mode_sum_matches_per_mode_fields(self, n_modes):
+        # cached factors and one reused buffer give the per-mode sum bit
+        # for bit, faces included (+0.0, never -0.0)
+        grid = GridSpec(L1=2.0, L2=0.7, h=1.3, n1=12, n2=9, nz=7)
+        coeffs = np.random.default_rng(n_modes).uniform(-1.0, 1.0, n_modes ** 3)
+        for _ in range(2):   # the second call reads the filled caches
+            got = mode_sum(grid, n_modes, coeffs)
+            ref = self._per_mode_reference(grid, n_modes, iter(coeffs).__next__)
+            assert got.data.tobytes() == ref.data.tobytes()

@@ -5,9 +5,43 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from pe3d.errors import InputError
-from pe3d.grid import (GridSpec, cumulative_z_integral, diff_onesided2,
-                       diff_sbp, div2, laplacian_bc, vertical_integral,
-                       weights2, weights3)
+from pe3d.grid import (GridSpec, _second_diff, cumulative_z_integral,
+                       diff_onesided2, diff_sbp, div2, laplacian_bc,
+                       vertical_integral, weights2, weights3)
+
+
+# the stencils written with np.moveaxis round trips: the reference that the
+# slice-indexed kernels must reproduce bit for bit
+
+def _ref_sbp(f, d, axis):
+    f = np.moveaxis(f, axis, 0)
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
+    out[0] = (f[1] - f[0]) / d
+    out[-1] = (f[-1] - f[-2]) / d
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_onesided2(f, d, axis):
+    f = np.moveaxis(f, axis, 0)
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * d)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * d)
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_second_diff(f, d, axis, top):
+    f = np.moveaxis(f, axis, 0)
+    out = np.empty_like(f)
+    d2 = d * d
+    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / d2
+    out[0] = -2.0 * f[0] / d2
+    if top == "dirichlet":
+        out[-1] = -2.0 * f[-1] / d2
+    else:
+        out[-1] = 2.0 * (f[-2] - f[-1]) / d2
+    return np.moveaxis(out, 0, axis)
 
 
 class TestGridSpec:
@@ -64,6 +98,21 @@ class TestDifferenceOperators:
         lhs = np.sum(w * (f * Dg + g * Df))
         rhs = f[-1] * g[-1] - f[0] * g[0]
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(9,), (6, 7), (5, 6, 7)])
+    def test_slice_kernels_match_moveaxis_reference(self, shape, rng):
+        base = rng.standard_normal(shape)
+        d = 0.37
+        for f in (base, base.T):
+            for axis in range(f.ndim):
+                pairs = [(diff_sbp(f, d, axis), _ref_sbp(f, d, axis)),
+                         (diff_onesided2(f, d, axis), _ref_onesided2(f, d, axis))]
+                pairs += [(_second_diff(f, d, axis, top),
+                           _ref_second_diff(f, d, axis, top))
+                          for top in ("dirichlet", "neumann")]
+                for got, ref in pairs:
+                    assert got.shape == ref.shape
+                    assert got.tobytes() == ref.tobytes()
 
     def test_onesided2_exact_on_quadratics(self, grid12):
         X, _, _ = grid12.meshgrid()

@@ -10,7 +10,7 @@ from pe3d.errors import InputError
 from pe3d.fields import HorizontalField
 from pe3d.grid import GridSpec, weights3
 from pe3d.norms import (NormReport, inner_H, norm_H, norm_K, norm_Kbar,
-                        norm_L6, norm_V, norm_report)
+                        norm_L6, norm_V, norm_V_K, norm_report)
 
 # analytic test field: v1 = sin(pi x) sin(pi y) cos(pi z / 2), v2 = 0 on the
 # unit box; all norm integrals separate into dense 1D quadratures below
@@ -119,5 +119,6 @@ class TestNormReport:
         assert rep.E2 == norm_V(v) ** 2
         assert rep.K == norm_K(v)
         assert rep.Kbar == norm_Kbar(v)
+        assert norm_V_K(v) == (norm_V(v), norm_K(v))
         J = float(np.sum((v.u1 ** 6 + v.u2 ** 6) * weights3(grid))) ** (1.0 / 6.0)
         assert rep.J == pytest.approx(J, rel=1e-14, abs=0.0)
