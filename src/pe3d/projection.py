@@ -8,10 +8,13 @@ Dirichlet faces) onto the kernel of the discrete constraint
     div2( vertical average of v ) = 0   at interior horizontal nodes.
 
 The correcting field is the weighted adjoint-gradient of a 2D potential,
-independent of z across the free levels, obtained from a small cached
-Schur-complement factorization.  Exactness of the adjoint construction is
-what delivers idempotence, orthogonality, norm contraction, and the
-constraint residual at solver precision.
+independent of z across the free levels.  The potential solves the Schur
+complement system C W^-1 C^T lam = b, whose matrix on the interior nodes is
+the Kronecker sum (Dx Dx^T (x) I + I (x) Dy Dy^T) / (d1 d2) of 1D centered
+differences.  It is solved by fast diagonalization from per-grid cached
+eigenpairs.  Exactness of the adjoint construction is what delivers
+idempotence, orthogonality, norm contraction, and the constraint residual
+at solver precision.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import InputError, SolverError
 from .fields import HorizontalField, apply_bc, laplacian3
@@ -31,56 +32,59 @@ from .norms import inner_H, norm_H
 #: default absolute tolerance on the constraint residual of projected fields
 PROJ_TOL = 1e-8
 
+#: Schur eigenvalues at most this fraction of the largest are the zero mode
+_ZERO_MODE_RTOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # Constraint machinery (cached per grid)
 # ---------------------------------------------------------------------------
 
-def _centered_diff_matrix(n: int, d: float) -> sp.csr_matrix:
-    """Centered first-difference matrix on n+1 nodes; boundary rows zero
-    (only interior rows are ever used by the constraint)."""
-    rows, cols, vals = [], [], []
-    for i in range(1, n):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        vals += [-1.0 / (2.0 * d), 1.0 / (2.0 * d)]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
+def _interior_diff(n: int, d: float) -> np.ndarray:
+    """Dense centered first difference on the n-1 interior nodes of an axis
+    (the fields it acts on vanish on the boundary nodes)."""
+    return (np.eye(n - 1, k=1) - np.eye(n - 1, k=-1)) / (2.0 * d)
 
 
 @functools.lru_cache(maxsize=16)
 def _constraint_ops(grid: GridSpec):
-    """Build the interior constraint matrix C (acting on a flattened 2D
-    vector field), the ring mask / inverse-weight diagonal, the Schur factor,
-    and the interior quadrature weights."""
-    n1, n2 = grid.n1, grid.n2
-    Dx = _centered_diff_matrix(n1, grid.d1)
-    Dy = _centered_diff_matrix(n2, grid.d2)
-    I1 = sp.identity(n1 + 1, format="csr")
-    I2 = sp.identity(n2 + 1, format="csr")
-    Cx = sp.kron(Dx, I2, format="csr")
-    Cy = sp.kron(I1, Dy, format="csr")
-    Cfull = sp.hstack([Cx, Cy], format="csr")
+    """Interior difference matrices Dx, Dy, the eigenvectors Qx, Qy of
+    Dx Dx^T and Dy Dy^T, the inverse Schur eigenvalues inv, and the interior
+    quadrature weights.
 
-    interior = np.zeros((n1 + 1, n2 + 1), dtype=bool)
-    interior[1:-1, 1:-1] = True
-    int_idx = np.flatnonzero(interior.ravel())
-    C = Cfull[int_idx, :].tocsr()
-
-    ring_zero = interior.ravel().astype(float)        # 0 on the boundary ring
-    w2 = weights2(grid).ravel()
-    diag = np.concatenate([ring_zero / w2, ring_zero / w2])
-    S0 = (C @ sp.diags(diag) @ C.T).tocsc()
-    lu = spla.splu(S0)
-
+    Interior trapezoid weights are all d1 d2, so the Schur complement is
+    S0 = (Dx Dx^T (x) I + I (x) Dy Dy^T) / (d1 d2) with eigenvalues
+    (lx_i + ly_j) / (d1 d2).  Dx is skew with a zero eigenvalue iff n1 is
+    even, so with n1 and n2 both even S0 has one zero mode, the checkerboard
+    of centered differences on a collocated grid.  Its entry of inv is 0:
+    every right-hand side b = C g lies in range(C), which is orthogonal to
+    null(C^T) = null(S0), so dropping the mode is the exact solve."""
+    Dx = _interior_diff(grid.n1, grid.d1)
+    Dy = _interior_diff(grid.n2, grid.d2)
+    lx, Qx = np.linalg.eigh(Dx @ Dx.T)
+    ly, Qy = np.linalg.eigh(Dy @ Dy.T)
+    lam = lx[:, None] + ly[None, :]
+    zero = lam <= _ZERO_MODE_RTOL * lam.max()
+    inv = np.where(zero, 0.0, grid.d1 * grid.d2 / np.where(zero, 1.0, lam))
     w2_int = weights2(grid)[1:-1, 1:-1].copy()
-    return C, diag, lu, int_idx, w2_int
+    for a in (Dx, Dy, Qx, Qy, inv, w2_int):
+        a.setflags(write=False)
+    return Dx, Dy, Qx, Qy, inv, w2_int
+
+
+def _schur_solve(grid: GridSpec, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of S0 lam = b on the interior nodes: two
+    transforms into the eigenbasis of S0, a multiply by the inverse
+    eigenvalues (0 on the zero mode), and two back transforms."""
+    _, _, Qx, Qy, inv, _ = _constraint_ops(grid)
+    return Qx @ ((Qx.T @ b @ Qy) * inv) @ Qy.T
 
 
 def constraint_residual(v: HorizontalField) -> float:
     """Weighted L2 norm over interior horizontal nodes of
     div2(vertical_integral(v))."""
     grid = v.grid
-    _, _, _, _, w2_int = _constraint_ops(grid)
+    w2_int = _constraint_ops(grid)[-1]
     r = div2(vertical_integral(v.u1, grid), vertical_integral(v.u2, grid), grid)
     r = r[1:-1, 1:-1]
     return float(np.sqrt(np.sum(w2_int * r * r)))
@@ -89,28 +93,29 @@ def constraint_residual(v: HorizontalField) -> float:
 def project_H(w: HorizontalField) -> HorizontalField:
     """Project onto the discrete space H: subtract the H-orthogonal
     correction (z-independent across the free levels, zero on the Dirichlet
-    faces) that annihilates the interior constraint residual."""
+    faces) that annihilates the interior constraint residual.  Its potential
+    solves S0 lam = b / kappa separably, without the zero mode, which
+    b = C g has no component along (see ``_constraint_ops``)."""
     if not w.is_finite():
         raise InputError("project_H: field contains NaN/Inf")
     grid = w.grid
-    C, diag, lu, int_idx, _ = _constraint_ops(grid)
+    Dx, Dy = _constraint_ops(grid)[:2]
 
     v = apply_bc(w)
-    g1 = vertical_integral(v.u1, grid) / grid.h
-    g2 = vertical_integral(v.u2, grid) / grid.h
-    b = C @ np.concatenate([g1.ravel(), g2.ravel()])
+    # apply_bc zeroed the side faces, so the interior block carries all of g
+    g1 = vertical_integral(v.u1, grid)[1:-1, 1:-1] / grid.h
+    g2 = vertical_integral(v.u2, grid)[1:-1, 1:-1] / grid.h
+    b = Dx @ g1 + g2 @ Dy.T
     if not np.any(b):
         return v
 
     kappa = (grid.h - grid.dz / 2.0) / (grid.h * grid.h)
-    lam = lu.solve(b) / kappa
-    chat = diag * (C.T @ lam) / grid.h
-    N2 = (grid.n1 + 1) * (grid.n2 + 1)
-    c1 = chat[:N2].reshape(grid.shape2)
-    c2 = chat[N2:].reshape(grid.shape2)
-    # subtract on the free z-levels only (bottom stays pinned at zero)
-    v.data[0, :, :, 1:] -= c1[:, :, None]
-    v.data[1, :, :, 1:] -= c2[:, :, None]
+    lam = _schur_solve(grid, b) / kappa
+    scale = grid.d1 * grid.d2 * grid.h
+    # subtract on the free z-levels of the interior only (the Dirichlet
+    # faces and the pinned bottom keep the zeros apply_bc wrote)
+    v.data[0, 1:-1, 1:-1, 1:] -= (Dx.T @ lam / scale)[:, :, None]
+    v.data[1, 1:-1, 1:-1, 1:] -= (lam @ Dy / scale)[:, :, None]
     return v
 
 

@@ -4,7 +4,8 @@ The analytic solution is a decaying stream-function mode that satisfies
 the boundary conditions and the vertically-averaged divergence-free
 constraint exactly (u3 = 0, p = 0).  The source term is obtained by
 substituting it into the momentum equation symbolically (sympy), which
-keeps the oracle independent of the discrete operators.
+keeps the oracle independent of the discrete operators.  sympy is imported
+inside the functions that use it, so ``import pe3d`` does not pay for it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sym
 
 from .dynamics import SimulationParams, integrate
 from .fields import HorizontalField
@@ -31,6 +31,7 @@ class AnalyticSolutionSpec:
     @classmethod
     def default(cls, L1: float = 1.0, L2: float = 1.0, h: float = 1.0,
                 amplitude: float = 1.0, decay: float = 1.0) -> "AnalyticSolutionSpec":
+        import sympy as sym
         x, y, z, t = sym.symbols("x y z t")
         psi = sym.sin(sym.pi * x / L1) ** 2 * sym.sin(sym.pi * y / L2) ** 2
         phi = sym.cos(sym.pi * z / (2 * h))
@@ -40,6 +41,7 @@ class AnalyticSolutionSpec:
 
     @classmethod
     def zero(cls) -> "AnalyticSolutionSpec":
+        import sympy as sym
         zero = sym.Integer(0)
         return cls(v1=zero, v2=zero)
 
@@ -73,6 +75,7 @@ class ConvergenceReport:
 
 
 def _lambdify_pair(spec: AnalyticSolutionSpec, nu: float):
+    import sympy as sym
     x, y, z, t = sym.symbols("x y z t")
     v = sym.Matrix([spec.v1, spec.v2])
     lap = lambda e: sym.diff(e, x, 2) + sym.diff(e, y, 2) + sym.diff(e, z, 2)

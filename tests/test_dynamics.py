@@ -1,5 +1,7 @@
 """Nonlinear term, time stepper, and solution-operator properties."""
 
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,22 @@ class TestIntegrate:
         assert state.t == pytest.approx(0.05, rel=1e-14)
         # the recorded steps are the steps of the unrecorded run
         assert np.array_equal(state.v.data, solve_S(smooth8, 0.05, params).data)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap top pad is a glibc malloc setting")
+    def test_steps_do_not_fault_the_heap_back_in(self):
+        # integrate keeps freed heap at the top instead of handing it back
+        # to the OS, so steady steps at 24^3 touch no new pages (without
+        # the pad: hundreds of page faults per step)
+        import resource
+        grid = GridSpec(n1=24, n2=24, nz=24)
+        v = random_smooth_field(np.random.default_rng(0), grid)
+        params = SimulationParams(nu=1.0, dt_max=1.5e-4, cfl=0.5)
+        integrate(v, 3e-4, params, on_step=lambda *a: None)
+        faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        state = integrate(v, 20 * 1.5e-4, params, on_step=lambda *a: None)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
+        assert faults < 20 * state.step_count
 
     def test_run_chain_rejects_zero_T(self, smooth8):
         with pytest.raises(InputError, match="T must be positive"):
