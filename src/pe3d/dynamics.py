@@ -10,10 +10,12 @@ and forcing, implicit BC-aware diffusion, then projection.  The diffusion
 solve is exact by fast diagonalization (the operator is a Kronecker sum of
 three 1D second differences on the free nodes); its result is checked by
 the stencil residual test of the weighted CG, which would iterate further
-only if that residual exceeded DIFFUSION_RTOL.  A step evaluates the
-diagnostic vertical velocity of its state once and passes it to both
-``cfl_dt`` and ``nonlinear_B``; ``project_H`` returns BC-clean fields, so
-no boundary assignment follows it.
+only if that residual exceeded DIFFUSION_RTOL; it pins the Dirichlet
+nodes with ``fields.zero_dirichlet``.  A step evaluates the diagnostic
+vertical velocity of its state once and passes it to both ``cfl_dt`` and
+``nonlinear_B``; ``project_H`` returns BC-clean fields, so no boundary
+assignment follows it, and no kernel checks boundary values: every state
+``integrate`` hands a step is an output of ``project_H``.
 
 The skew-symmetrized advection makes the discrete trilinear form
 <B(v,v), v> vanish up to the constraint residual, so the per-step energy
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .fields import HorizontalField, check_bc, laplacian3, u3_diagnostic
+from .fields import HorizontalField, laplacian3, u3_diagnostic, zero_dirichlet
 from .grid import GridSpec, diff_sbp
 from .linalg import weighted_cg
 from .norms import norm_H, norm_report
@@ -80,7 +82,7 @@ class SimState:
 
 
 def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
-                check: bool = True, w3: np.ndarray | None = None) -> HorizontalField:
+                w3: np.ndarray | None = None) -> HorizontalField:
     """Skew-symmetrized advection
     (1/2)[(u.grad)v + div(u v)] with u = (v_adv, diagnostic u3).
 
@@ -92,11 +94,8 @@ def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
     if v_adv.data.shape != v.data.shape:
         raise InputError("nonlinear_B: field shapes differ")
     g = v.grid
-    if check:
-        check_bc(v_adv)
-        check_bc(v)
     if w3 is None:
-        w3 = u3_diagnostic(v_adv, g)
+        w3 = u3_diagnostic(v_adv)
     a1, a2 = v_adv.u1, v_adv.u2
     out = np.empty_like(v.data)
     for c in range(2):
@@ -109,15 +108,6 @@ def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
                + diff_sbp(w3 * vc, g.dz, 2))
         out[c] = 0.5 * (adv + dvg)
     return HorizontalField(out, g)
-
-
-def _zero_dirichlet(data: np.ndarray) -> np.ndarray:
-    data[:, 0, :, :] = 0.0
-    data[:, -1, :, :] = 0.0
-    data[:, :, 0, :] = 0.0
-    data[:, :, -1, :] = 0.0
-    data[:, :, :, 0] = 0.0
-    return data
 
 
 def _transform(a: np.ndarray, mx: np.ndarray, my: np.ndarray,
@@ -151,10 +141,10 @@ def _implicit_diffusion(w: HorizontalField, dt: float, nu: float) -> HorizontalF
     vol = _grid.weights3(g)[None]
 
     def apply_op(data):
-        lap = laplacian3(HorizontalField(data, g), g, check=False).data
-        return _zero_dirichlet(data - dt * nu * lap)
+        lap = laplacian3(HorizontalField(data, g)).data
+        return zero_dirichlet(data - dt * nu * lap)
 
-    b = _zero_dirichlet(w.data.copy())
+    b = zero_dirichlet(w.data.copy())
     x = weighted_cg(apply_op, b, vol, rel_tol=DIFFUSION_RTOL,
                     max_iter=200 * max(g.n1, g.n2, g.nz),
                     x0=_separable_solve(b, g, dt * nu),
@@ -168,7 +158,7 @@ def cfl_dt(v: HorizontalField, params: SimulationParams,
     is ``u3_diagnostic(v)``, computed here if not given."""
     g = v.grid
     if w3 is None:
-        w3 = u3_diagnostic(v, g)
+        w3 = u3_diagnostic(v)
     vmax = max(float(np.abs(v.data).max()), float(np.abs(w3).max()), EPS_VEL)
     return min(params.dt_max, params.cfl * min(g.d1, g.d2, g.dz) / vmax)
 
@@ -185,12 +175,12 @@ def step(state: SimState, params: SimulationParams,
     that report."""
     v = state.v
     g = v.grid
-    w3 = u3_diagnostic(v, g)
+    w3 = u3_diagnostic(v)
     dt = cfl_dt(v, params, w3)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 
-    B = nonlinear_B(v, v, check=False, w3=w3)
+    B = nonlinear_B(v, v, w3=w3)
     del w3   # not needed past the advection; frees it before the solve
     w = HorizontalField(v.data - dt * B.data, g)
     if forcing is not None:

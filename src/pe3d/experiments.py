@@ -19,7 +19,7 @@ from __future__ import annotations
 import glob
 import json
 import os
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .estimates import (TrajectoryDiagnostics, check_growth_bound,
                         record_trajectory)
 from .fields import HorizontalField
 from .grid import GridSpec
-from .kicks import run_chain, wasserstein1, wasserstein1_measures
+from .kicks import run_chain, wasserstein1
 from .norms import norm_H, norm_V
 from .sampling import random_smooth_field
 from .verification import verify_manufactured
@@ -148,7 +148,7 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
         raise InputError("verify reads only sim.nu from the config; remove "
                          + ", ".join(ignored))
     rep = verify_manufactured(cfg.sim)
-    report = rep.to_dict()
+    report = asdict(rep)
     _write_json(outdir / "convergence.json", report)
     if rep.spatial_order < 1.8:
         raise ExperimentFailure(
@@ -194,14 +194,18 @@ def run_absorb(cfg: RunConfig, outdir: Path) -> dict:
     return report
 
 
-def measure_T_V(cfg: RunConfig, n_probes: int = 3,
-                safety: float = 2.0) -> tuple[float, list[float]]:
-    """The Theorem-3 inter-kick time: run unforced trajectories from
-    |v0|_V^2 = 4R down to eps = R, take the worst decay time, and apply a
-    safety factor (floored at 0.01 so the operator always advances)."""
+#: measure_T_V's probe count and the factor on the worst probe's decay time
+T_V_PROBES = 3
+T_V_SAFETY = 2.0
+
+
+def measure_T_V(cfg: RunConfig) -> tuple[float, list[float]]:
+    """The Theorem-3 inter-kick time: run T_V_PROBES unforced trajectories
+    from |v0|_V^2 = 4R down to eps = R, take the worst decay time, and apply
+    T_V_SAFETY (floored at 0.01 so the operator always advances)."""
     R = cfg.kick.R
     times = []
-    for i in range(n_probes):
+    for i in range(T_V_PROBES):
         v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 5000 + i, 4.0 * R)
         diag, _ = record_trajectory(v0, cfg.sim, cfg.record_every)
         T = measure_decay_time(diag, R) if R > 0 else 0.0
@@ -209,7 +213,7 @@ def measure_T_V(cfg: RunConfig, n_probes: int = 3,
             raise ExperimentFailure(
                 f"T_V(4R, R) not reached within t_end={cfg.sim.t_end}")
         times.append(T)
-    return max(safety * max(times), 0.01), times
+    return max(T_V_SAFETY * max(times), 0.01), times
 
 
 def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
@@ -225,10 +229,10 @@ def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
         trace, pooled, windows = run_chain(kc, cfg.sim, v0, chain_index=k)
         write_chain_csv(outdir / f"chain_{k}.csv", trace)
         _write_json(outdir / f"measure_{k}.json", pooled.to_dict())
-        series = [wasserstein1_measures(a, b, "E2")
+        series = [wasserstein1(a.samples["E2"], b.samples["E2"])
                   for a, b in zip(windows, windows[1:])]
         results.append((trace, pooled, series))
-    max_E2 = max(float(tr.E2.max()) for tr, _, _ in results) if results else 0.0
+    max_E2 = max(float(tr.E2.max()) for tr, _, _ in results)
     pooled_E2 = [p.samples["E2"] for _, p, _ in results]
     report = {
         "T": T, "T_probe_times": probe_times, "R": R,

@@ -21,9 +21,6 @@ import numpy as np
 
 from .errors import InputError
 
-#: BC residual tolerance after apply_bc (rounding only; BCs are assigned).
-BC_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -97,10 +94,6 @@ def weights3(grid: GridSpec) -> np.ndarray:
     w = weights2(grid)[:, :, None] * _trapezoid_weights(grid.nz, grid.dz)
     w.setflags(write=False)
     return w
-
-
-def _wz(grid: GridSpec) -> np.ndarray:
-    return _trapezoid_weights(grid.nz, grid.dz)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +207,7 @@ def vertical_integral(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     operator is vertical_integral(f) / h."""
     if f.shape != grid.shape:
         raise InputError(f"vertical_integral: shape {f.shape} does not match grid {grid.shape}")
-    return np.tensordot(f, _wz(grid), axes=([2], [0]))
+    return np.tensordot(f, _trapezoid_weights(grid.nz, grid.dz), axes=([2], [0]))
 
 
 def cumulative_z_integral(f: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -3,10 +3,12 @@
 The chain is X_n = S(T)[X_{n-1}] + xi_n with i.i.d. kicks drawn from a
 stream-function construction that satisfies the boundary conditions and
 the divergence constraint analytically, then rescaled so the squared
-Laplacian norm stays below the bound R.  Empirical measures are pooled
-histograms of observable pushforwards (time averages in the sense of
-Krylov-Bogolyubov); their convergence proxy is the 1-Wasserstein distance
-between observable distributions.
+Laplacian norm stays below the bound R (and, as a safeguard, the squared
+V-norm too); a draw records its V-norm and whether either rescaling fired.
+Empirical measures are pooled histograms of observable pushforwards (time
+averages in the sense of Krylov-Bogolyubov); their convergence proxy is the
+1-Wasserstein distance between the E2 samples of consecutive windows of a
+chain (``wasserstein1``).
 
 RNG: numpy PCG64 seeded through SeedSequence((seed, chain_index)), which
 is documented platform-stable.
@@ -28,6 +30,9 @@ from .projection import project_H
 from .sampling import mode_sum
 
 OBSERVABLES = ("H2", "E2", "J", "K")
+
+#: run_chain splits the post-burn-in samples into this many equal windows
+N_WINDOWS = 5
 
 
 @dataclass(frozen=True)
@@ -63,14 +68,12 @@ class ChainState:
 @dataclass
 class KickDraw:
     xi: HorizontalField
-    lap2: float          # |lap xi|_{L2}^2 after rescaling
     V2: float            # |xi|_V^2 after rescaling
-    rescaled: bool       # the H2-bound rescaling triggered
-    v_rescaled: bool     # the V-norm safeguard additionally triggered
+    rescaled: bool       # the |lap xi|^2 bound or the V-norm safeguard rescaled xi
 
 
 def _lap2_norm2(xi: HorizontalField) -> float:
-    lap = laplacian3(xi, xi.grid, check=False)
+    lap = laplacian3(xi)
     vol = weights3(xi.grid)
     return float(np.sum((lap.u1 ** 2 + lap.u2 ** 2) * vol))
 
@@ -88,7 +91,7 @@ def draw_kick(rng: np.random.Generator, grid: GridSpec, config: KickConfig) -> K
     """Random kick bounded by |lap xi|_{L2}^2 <= R (and, as a safeguard for
     the chain boundedness induction, |xi|_V^2 <= R), with its metadata."""
     if config.R == 0.0:
-        return KickDraw(HorizontalField.zeros(grid), 0.0, 0.0, False, False)
+        return KickDraw(HorizontalField.zeros(grid), 0.0, False)
     coeffs = rng.uniform(-1.0, 1.0, size=config.n_modes ** 3)
     xi = (_base_amplitude(grid, config.n_modes, config.R)
           * mode_sum(grid, config.n_modes, coeffs))
@@ -96,15 +99,12 @@ def draw_kick(rng: np.random.Generator, grid: GridSpec, config: KickConfig) -> K
     rescaled = lap2 > config.R
     if rescaled:
         xi = float(np.sqrt(config.R / lap2)) * xi
-        lap2 = config.R
     V2 = norm_V(xi) ** 2
-    v_rescaled = V2 > config.R
-    if v_rescaled:
-        s = float(np.sqrt(config.R / V2))
-        xi = s * xi
-        lap2 *= s * s
+    if V2 > config.R:
+        xi = float(np.sqrt(config.R / V2)) * xi
         V2 = config.R
-    return KickDraw(xi, lap2, V2, rescaled, v_rescaled)
+        rescaled = True
+    return KickDraw(xi, V2, rescaled)
 
 
 # ---------------------------------------------------------------------------
@@ -142,30 +142,18 @@ class EmpiricalMeasure:
     """Pooled per-observable samples with histogram summaries."""
 
     samples: dict[str, np.ndarray]
-    edges: dict[str, np.ndarray] = field(default_factory=dict)
-    counts: dict[str, np.ndarray] = field(default_factory=dict)
+    edges: dict[str, np.ndarray] = field(init=False, default_factory=dict)
+    counts: dict[str, np.ndarray] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        if not self.edges:
-            for name, s in self.samples.items():
-                counts, edges = np.histogram(s, bins=24)
-                self.edges[name] = edges
-                self.counts[name] = counts
-
-    def n_samples(self) -> int:
-        return len(next(iter(self.samples.values())))
+        for name, s in self.samples.items():
+            self.counts[name], self.edges[name] = np.histogram(s, bins=24)
 
     def to_dict(self) -> dict:
         return {name: {"edges": self.edges[name].tolist(),
                        "counts": self.counts[name].tolist(),
                        "samples": self.samples[name].tolist()}
                 for name in self.samples}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmpiricalMeasure":
-        return cls(samples={k: np.asarray(v["samples"], dtype=float) for k, v in d.items()},
-                   edges={k: np.asarray(v["edges"], dtype=float) for k, v in d.items()},
-                   counts={k: np.asarray(v["counts"], dtype=int) for k, v in d.items()})
 
 
 def _observe(v: HorizontalField) -> tuple[float, float, float, float]:
@@ -174,11 +162,11 @@ def _observe(v: HorizontalField) -> tuple[float, float, float, float]:
 
 
 def run_chain(config: KickConfig, params: SimulationParams,
-              v0: HorizontalField, chain_index: int = 0,
-              n_windows: int = 5) -> tuple[ChainTrace, EmpiricalMeasure, list[EmpiricalMeasure]]:
+              v0: HorizontalField, chain_index: int = 0
+              ) -> tuple[ChainTrace, EmpiricalMeasure, list[EmpiricalMeasure]]:
     """Iterate the chain N times; pool post-burn-in observable samples into
-    an EmpiricalMeasure, plus equal-width windowed measures for convergence
-    diagnostics."""
+    an EmpiricalMeasure, plus N_WINDOWS equal-width windowed measures for
+    convergence diagnostics."""
     if config.T <= 0:
         raise InputError("run_chain: inter-kick time T must be positive "
                          "(T = 0 in a config means: measure T_V first)")
@@ -188,7 +176,7 @@ def run_chain(config: KickConfig, params: SimulationParams,
         state, draw = chain_step(state, config, params)
         H2, E2, J, K = _observe(state.X)
         rows.append((state.n, H2, E2, J, K, draw.V2,
-                     1.0 if (draw.rescaled or draw.v_rescaled) else 0.0))
+                     1.0 if draw.rescaled else 0.0))
     arr = np.array(rows)
     trace = ChainTrace(n=arr[:, 0].astype(int), H2=arr[:, 1], E2=arr[:, 2],
                        J=arr[:, 3], K=arr[:, 4], kick_V2=arr[:, 5],
@@ -197,9 +185,9 @@ def run_chain(config: KickConfig, params: SimulationParams,
     pooled = EmpiricalMeasure(samples={
         name: post[:, i + 1].copy() for i, name in enumerate(OBSERVABLES)})
     windows = []
-    width = len(post) // n_windows
+    width = len(post) // N_WINDOWS
     if width >= 1:
-        for k in range(n_windows):
+        for k in range(N_WINDOWS):
             chunk = post[k * width:(k + 1) * width]
             windows.append(EmpiricalMeasure(samples={
                 name: chunk[:, i + 1].copy() for i, name in enumerate(OBSERVABLES)}))
@@ -222,10 +210,3 @@ def wasserstein1(s1: np.ndarray, s2: np.ndarray) -> float:
     cdf1 = np.searchsorted(np.sort(s1), breaks, side="right") / s1.size
     cdf2 = np.searchsorted(np.sort(s2), breaks, side="right") / s2.size
     return float(np.sum(np.abs(cdf1 - cdf2) * widths))
-
-
-def wasserstein1_measures(m1: EmpiricalMeasure, m2: EmpiricalMeasure,
-                          observable: str) -> float:
-    if observable not in m1.samples or observable not in m2.samples:
-        raise InputError(f"wasserstein1: unknown observable {observable!r}")
-    return wasserstein1(m1.samples[observable], m2.samples[observable])

@@ -35,6 +35,11 @@ PROJ_TOL = 1e-8
 #: Schur eigenvalues at most this fraction of the largest are the zero mode
 _ZERO_MODE_RTOL = 1e-10
 
+#: smallest_eigenvalue_A stops once the Rayleigh quotient moves by at most
+#: RQ_TOL relative, and gives up after MAX_OUTER inverse-power steps
+RQ_TOL = 1e-8
+MAX_OUTER = 200
+
 
 # ---------------------------------------------------------------------------
 # Constraint machinery (cached per grid)
@@ -123,9 +128,9 @@ def project_H(w: HorizontalField) -> HorizontalField:
 # The operator A and its smallest eigenvalue
 # ---------------------------------------------------------------------------
 
-def apply_A(v: HorizontalField, check: bool = True) -> HorizontalField:
+def apply_A(v: HorizontalField) -> HorizontalField:
     """A = - (projection of the BC-aware Laplacian)."""
-    lap = laplacian3(v, v.grid, check=check)
+    lap = laplacian3(v)
     return project_H(HorizontalField(-lap.data, v.grid))
 
 
@@ -139,20 +144,19 @@ def _seed_field(grid: GridSpec) -> HorizontalField:
     return stream_function_field(psi, grid)
 
 
-def smallest_eigenvalue_A(grid: GridSpec, rq_tol: float = 1e-8,
-                          max_outer: int = 200) -> float:
+def smallest_eigenvalue_A(grid: GridSpec) -> float:
     """Smallest eigenvalue of A by inverse power iteration; each step is one
     implicit solve with apply_A (weighted CG), iterated until the Rayleigh
-    quotient settles to rq_tol relative."""
+    quotient settles to RQ_TOL relative."""
     vol = weights3(grid)[None, :, :, :]
 
     def apply_op(data):
-        return apply_A(HorizontalField(data, grid), check=False).data
+        return apply_A(HorizontalField(data, grid)).data
 
     x = project_H(_seed_field(grid)).data
     x /= np.sqrt(np.sum(vol * x * x))
     rho_old = np.inf
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         y = weighted_cg(apply_op, x, vol, rel_tol=1e-10,
                         max_iter=50 * max(grid.n1, grid.n2, grid.nz) ** 2,
                         label="inverse-power")
@@ -160,7 +164,7 @@ def smallest_eigenvalue_A(grid: GridSpec, rq_tol: float = 1e-8,
         rho = float(np.sum(vol * x * x) / np.sum(vol * x * y))
         y = project_H(HorizontalField(y, grid)).data
         x = y / np.sqrt(np.sum(vol * y * y))
-        if abs(rho - rho_old) <= rq_tol * abs(rho):
+        if abs(rho - rho_old) <= RQ_TOL * abs(rho):
             if rho <= 0:
                 raise SolverError("inverse power iteration produced a nonpositive eigenvalue")
             return rho
@@ -171,4 +175,4 @@ def smallest_eigenvalue_A(grid: GridSpec, rq_tol: float = 1e-8,
 def rayleigh_quotient(v: HorizontalField) -> float:
     """<A v, v> / <v, v>; an upper bound for the smallest eigenvalue."""
     vp = project_H(v)
-    return inner_H(apply_A(vp, check=False), vp) / max(norm_H(vp) ** 2, 1e-300)
+    return inner_H(apply_A(vp), vp) / max(norm_H(vp) ** 2, 1e-300)

@@ -63,16 +63,6 @@ class ConvergenceReport:
     def temporal_order(self) -> float:
         return min(self.temporal_orders) if self.temporal_orders else float("nan")
 
-    def to_dict(self) -> dict:
-        return {
-            "spatial_grids": self.spatial_grids,
-            "spatial_errors": self.spatial_errors,
-            "spatial_orders": self.spatial_orders,
-            "temporal_dts": self.temporal_dts,
-            "temporal_errors": self.temporal_errors,
-            "temporal_orders": self.temporal_orders,
-        }
-
 
 def _lambdify_pair(spec: AnalyticSolutionSpec, nu: float):
     import sympy as sym

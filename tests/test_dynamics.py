@@ -11,10 +11,10 @@ from conftest import raw_field
 from pe3d import dynamics
 from pe3d import grid as grid_mod
 from pe3d.dynamics import (SimState, SimulationParams, _implicit_diffusion,
-                           _separable_solve, _zero_dirichlet, cfl_dt,
-                           integrate, nonlinear_B, solve_S, step)
+                           _separable_solve, cfl_dt, integrate, nonlinear_B,
+                           solve_S, step)
 from pe3d.errors import DivergenceError, InputError
-from pe3d.fields import HorizontalField, apply_bc, u3_diagnostic
+from pe3d.fields import HorizontalField, apply_bc, u3_diagnostic, zero_dirichlet
 from pe3d.grid import GridSpec, diff_sbp
 from pe3d.kicks import KickConfig, run_chain
 from pe3d.norms import inner_H, norm_H, norm_V, norm_report
@@ -41,7 +41,7 @@ def _reference_B(v_adv, v):
     """The skew-symmetrized advection with the vertical velocity computed
     inside, as nonlinear_B does when no w3 is passed."""
     g = v.grid
-    w3 = u3_diagnostic(v_adv, g)
+    w3 = u3_diagnostic(v_adv)
     a1, a2 = v_adv.u1, v_adv.u2
     out = np.empty_like(v.data)
     for c in range(2):
@@ -60,9 +60,9 @@ class TestNonlinearTerm:
     def test_passed_w3_matches_reference(self, grid12, rng):
         v_adv, v = raw_field(grid12, rng), raw_field(grid12, rng)
         ref = _reference_B(v_adv, v)
-        w3 = u3_diagnostic(v_adv, grid12)
-        assert nonlinear_B(v_adv, v, check=False, w3=w3).data.tobytes() == ref.tobytes()
-        assert nonlinear_B(v_adv, v, check=False).data.tobytes() == ref.tobytes()
+        w3 = u3_diagnostic(v_adv)
+        assert nonlinear_B(v_adv, v, w3=w3).data.tobytes() == ref.tobytes()
+        assert nonlinear_B(v_adv, v).data.tobytes() == ref.tobytes()
 
     def test_energy_neutrality(self, smooth8):
         # the skew-symmetrized form pairs to zero against the state itself
@@ -72,9 +72,9 @@ class TestNonlinearTerm:
 
     def test_bilinearity_in_second_argument(self, smooth8):
         w = project_H(random_smooth_field(np.random.default_rng(8), smooth8.grid))
-        lhs = nonlinear_B(smooth8, smooth8 + 2.0 * w, check=False)
-        rhs = (nonlinear_B(smooth8, smooth8, check=False)
-               + 2.0 * nonlinear_B(smooth8, w, check=False))
+        lhs = nonlinear_B(smooth8, smooth8 + 2.0 * w)
+        rhs = (nonlinear_B(smooth8, smooth8)
+               + 2.0 * nonlinear_B(smooth8, w))
         assert np.allclose(lhs.data, rhs.data, atol=1e-12)
 
     def test_zero_state_maps_to_zero(self, grid8):
@@ -85,11 +85,6 @@ class TestNonlinearTerm:
         with pytest.raises(InputError):
             nonlinear_B(HorizontalField.zeros(grid8),
                         HorizontalField.zeros(grid12))
-
-    def test_bc_check(self, grid8, rng):
-        v = raw_field(grid8, rng)
-        with pytest.raises(InputError):
-            nonlinear_B(v, v, check=True)
 
 
 def _dense_system(grid, dt_nu, w):
@@ -103,9 +98,9 @@ def _dense_system(grid, dt_nu, w):
         data = e.reshape(w.data.shape).copy()
         lap = np.stack([grid_mod.laplacian_bc(data[0], grid),
                         grid_mod.laplacian_bc(data[1], grid)])
-        A[:, j] = _zero_dirichlet(data - dt_nu * lap).ravel()
-    rhs = _zero_dirichlet(w.data.copy()).ravel()
-    free = _zero_dirichlet(np.ones_like(w.data)).ravel().astype(bool)
+        A[:, j] = zero_dirichlet(data - dt_nu * lap).ravel()
+    rhs = zero_dirichlet(w.data.copy()).ravel()
+    free = zero_dirichlet(np.ones_like(w.data)).ravel().astype(bool)
     return A, rhs, free
 
 
@@ -134,7 +129,7 @@ class TestImplicitDiffusion:
         grid = GridSpec(L1=L1, L2=L2, h=h, n1=n1, n2=n2, nz=nz)
         w = apply_bc(raw_field(grid, np.random.default_rng(seed)))
         A, rhs, free = _dense_system(grid, dt_nu, w)
-        got = _separable_solve(_zero_dirichlet(w.data.copy()), grid, dt_nu).ravel()
+        got = _separable_solve(zero_dirichlet(w.data.copy()), grid, dt_nu).ravel()
         assert np.all(got[~free] == 0.0)
         res = np.linalg.norm(A @ got - rhs) / np.linalg.norm(rhs)
         assert res <= 1e-12
@@ -186,9 +181,9 @@ class TestStepper:
         # cfl_dt and nonlinear_B share the step's vertical velocity
         calls = []
 
-        def counting(v, grid):
+        def counting(v):
             calls.append(1)
-            return u3_diagnostic(v, grid)
+            return u3_diagnostic(v)
 
         monkeypatch.setattr(dynamics, "u3_diagnostic", counting)
         step(SimState(t=0.0, v=smooth8), SimulationParams(nu=1.0, dt_max=0.01))

@@ -182,6 +182,15 @@ class TestCli:
         cfg_path.write_text(TINY)
         assert main(["probe", "--config", str(cfg_path)]) == 3
 
+    def test_experiment_mismatch_creates_no_output_dir(self, tmp_path):
+        # config errors exit before run_experiment, so no directory (and no
+        # failure.json) is made even when --output names one
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY)
+        out = tmp_path / "out"
+        assert main(["probe", "--config", str(cfg_path), "--output", str(out)]) == 3
+        assert not out.exists()
+
     def test_seed_flag_propagates(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(TINY)

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import raw_field
 from pe3d.errors import InputError
-from pe3d.fields import (HorizontalField, apply_bc, bc_residual, check_bc,
-                         laplacian3, u3_diagnostic)
+from pe3d.fields import (HorizontalField, apply_bc, bc_residual,
+                         u3_diagnostic, zero_dirichlet)
 from pe3d.grid import GridSpec
 from pe3d.projection import constraint_residual
 from pe3d.sampling import (mode_sum, random_smooth_field,
@@ -39,11 +39,17 @@ class TestHorizontalField:
         assert not v.is_finite()
 
 
+def _dirichlet_mask(grid, shape):
+    """The side and bottom nodes, marked from their indices."""
+    i, j, k = np.indices(grid.shape)
+    face = (i == 0) | (i == grid.n1) | (j == 0) | (j == grid.n2) | (k == 0)
+    return np.broadcast_to(face, shape)
+
+
 class TestBoundaryConditions:
     def test_apply_bc_zeroes_dirichlet_faces(self, grid12, rng):
         v = apply_bc(raw_field(grid12, rng))
         assert bc_residual(v) == 0.0
-        check_bc(v)
 
     def test_apply_bc_returns_new_field(self, grid8, rng):
         v = raw_field(grid8, rng)
@@ -51,22 +57,41 @@ class TestBoundaryConditions:
         apply_bc(v)
         assert np.array_equal(v.data, before)
 
-    def test_check_bc_raises_on_violation(self, grid8, rng):
-        v = raw_field(grid8, rng)
-        with pytest.raises(InputError):
-            check_bc(v)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zeroing_changes_exactly_the_dirichlet_faces(self, seed):
+        # apply_bc and the in-place zero_dirichlet of the diffusion solve
+        # write +0.0 on the five faces and leave every other node,
+        # the interior of the top face included, byte for byte
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(L1=rng.uniform(0.5, 2.0), L2=rng.uniform(0.5, 2.0),
+                        n1=int(rng.integers(4, 9)), n2=int(rng.integers(4, 9)),
+                        nz=int(rng.integers(4, 9)))
+        v = raw_field(grid, rng)
+        face = _dirichlet_mask(grid, v.data.shape)
+        top = (slice(None), slice(1, -1), slice(1, -1), -1)
+        data = v.data.copy()
+        assert zero_dirichlet(data) is data
+        for out in (apply_bc(v).data, data):
+            assert np.all(out[face] == 0.0) and not np.signbit(out[face]).any()
+            assert out[~face].tobytes() == v.data[~face].tobytes()
+            assert out[top].tobytes() == v.data[top].tobytes()
 
-    def test_laplacian3_checks_bc(self, grid8, rng):
-        v = raw_field(grid8, rng)
-        with pytest.raises(InputError):
-            laplacian3(v, grid8)
-        laplacian3(v, grid8, check=False)  # no-check path stays usable
+    def test_bc_residual_reads_exactly_the_dirichlet_faces(self, rng):
+        # one nonzero on a clean field: seen on every Dirichlet node, and
+        # ignored elsewhere, the interior of the top face included
+        grid = GridSpec(n1=4, n2=5, nz=4)
+        clean = apply_bc(raw_field(grid, rng))
+        face = _dirichlet_mask(grid, clean.data.shape)
+        for idx in np.ndindex(face.shape):
+            v = clean.copy()
+            v.data[idx] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            assert bc_residual(v) == (abs(v.data[idx]) if face[idx] else 0.0)
 
 
 class TestU3Diagnostic:
     def test_zero_at_bottom(self, grid12, rng):
         v = apply_bc(raw_field(grid12, rng))
-        u3 = u3_diagnostic(v, grid12)
+        u3 = u3_diagnostic(v)
         assert np.abs(u3[:, :, 0]).max() == 0.0
 
     def test_zero_for_stream_function_fields(self, grid12, rng):
@@ -78,13 +103,13 @@ class TestU3Diagnostic:
         psi = (np.sin(np.pi * x) ** 2 * np.sin(2.0 * np.pi * y) ** 2
                + 0.3 * np.sin(2.0 * np.pi * x) ** 2 * np.sin(np.pi * y) ** 2)
         v = stream_function_field(psi, grid12)
-        assert np.abs(u3_diagnostic(v, grid12)[1:-1, 1:-1, :]).max() < 1e-12
+        assert np.abs(u3_diagnostic(v)[1:-1, 1:-1, :]).max() < 1e-12
 
     def test_top_value_vanishes_for_fields_in_H(self, grid12, rng):
         # u3(top) = -div2(vertical integral), which the projection kills
         v = random_smooth_field(rng, grid12)
         assert constraint_residual(v) < 1e-10
-        top = u3_diagnostic(v, grid12)[1:-1, 1:-1, -1]
+        top = u3_diagnostic(v)[1:-1, 1:-1, -1]
         assert np.abs(top).max() < 1e-10
 
     def test_analytic_oracle_with_refinement(self):
@@ -99,7 +124,7 @@ class TestU3Diagnostic:
                                                 np.zeros(grid.shape), grid)
             G = (2.0 / np.pi) * (np.sin(np.pi * Z / 2.0) + 1.0)
             exact = -np.pi * np.cos(np.pi * X) * G
-            got = u3_diagnostic(v, grid)
+            got = u3_diagnostic(v)
             return np.abs((got - exact)[2:-2, :, :]).max()
 
         e1, e2 = err(8), err(16)

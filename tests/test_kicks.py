@@ -2,6 +2,7 @@
 distance (with an assignment-problem oracle)."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from scipy.stats import wasserstein_distance
 
 from pe3d.dynamics import SimulationParams, solve_S
 from pe3d.errors import InputError
-from pe3d.fields import bc_residual
-from pe3d.grid import GridSpec
-from pe3d.kicks import (ChainState, EmpiricalMeasure, KickConfig, chain_rng,
-                        chain_step, draw_kick, run_chain,
-                        wasserstein1, wasserstein1_measures)
+from pe3d.fields import bc_residual, laplacian3
+from pe3d.grid import GridSpec, weights3
+from pe3d.kicks import (N_WINDOWS, OBSERVABLES, ChainState, KickConfig,
+                        chain_rng, chain_step, draw_kick, run_chain,
+                        wasserstein1)
 from pe3d.norms import norm_V
 from pe3d.projection import constraint_residual, project_H
 from pe3d.sampling import random_smooth_field
@@ -48,7 +49,9 @@ class TestKickDraws:
         rng = chain_rng(kick_cfg, 0)
         for _ in range(100):
             d = draw_kick(rng, grid6, kick_cfg)
-            assert d.lap2 <= kick_cfg.R * (1.0 + 1e-12)
+            lap = laplacian3(d.xi)
+            lap2 = float(np.sum((lap.u1 ** 2 + lap.u2 ** 2) * weights3(grid6)))
+            assert lap2 <= kick_cfg.R * (1.0 + 1e-12)
             assert d.V2 <= kick_cfg.R * (1.0 + 1e-12)
 
     def test_kicks_live_in_H(self, grid6, kick_cfg):
@@ -59,7 +62,7 @@ class TestKickDraws:
     def test_zero_R_gives_zero_kick(self, grid6):
         cfg = KickConfig(T=0.1, R=0.0, N=4, burn_in=0)
         d = draw_kick(chain_rng(cfg, 0), grid6, cfg)
-        assert np.all(d.xi.data == 0.0) and d.lap2 == 0.0
+        assert np.all(d.xi.data == 0.0) and d.V2 == 0.0 and not d.rescaled
 
     def test_draws_are_seed_deterministic(self, grid6, kick_cfg):
         a = draw_kick(chain_rng(kick_cfg, 2), grid6, kick_cfg).xi
@@ -119,13 +122,15 @@ class TestChain:
 class TestEmpiricalMeasure:
     def test_histograms_built_and_roundtrip(self, grid6, kick_cfg, params):
         v0 = random_smooth_field(np.random.default_rng(0), grid6)
-        _, pooled, windows = run_chain(kick_cfg, params, v0, n_windows=2)
-        assert pooled.n_samples() == kick_cfg.N - kick_cfg.burn_in
-        assert len(windows) == 2
-        back = EmpiricalMeasure.from_dict(pooled.to_dict())
-        for name in pooled.samples:
-            assert np.array_equal(back.samples[name], pooled.samples[name])
-            assert np.array_equal(back.counts[name], pooled.counts[name])
+        _, pooled, windows = run_chain(kick_cfg, params, v0)
+        assert len(windows) == N_WINDOWS
+        back = json.loads(json.dumps(pooled.to_dict()))
+        assert list(back) == list(OBSERVABLES)
+        for name, entry in back.items():
+            samples = np.asarray(entry["samples"], dtype=float)
+            assert samples.tobytes() == pooled.samples[name].tobytes()
+            assert sum(entry["counts"]) == kick_cfg.N - kick_cfg.burn_in
+            assert len(entry["edges"]) == 25
 
 
 class TestWasserstein:
@@ -155,11 +160,3 @@ class TestWasserstein:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             wasserstein1([], [1.0])
-
-    def test_measure_wrapper(self, rng):
-        m1 = EmpiricalMeasure(samples={"E2": rng.uniform(size=20)})
-        m2 = EmpiricalMeasure(samples={"E2": rng.uniform(size=20)})
-        d = wasserstein1_measures(m1, m2, "E2")
-        assert d >= 0.0
-        with pytest.raises(InputError):
-            wasserstein1_measures(m1, m2, "Q")

@@ -142,13 +142,13 @@ class TestOperatorA:
     def test_positivity_on_H(self, grid8, rng):
         for _ in range(5):
             v = project_H(raw_field(grid8, rng))
-            assert inner_H(apply_A(v, check=False), v) > 0.0
+            assert inner_H(apply_A(v), v) > 0.0
 
     def test_symmetry_on_H(self, grid8, rng):
         u = project_H(raw_field(grid8, rng))
         w = project_H(raw_field(grid8, rng))
-        lhs = inner_H(apply_A(u, check=False), w)
-        rhs = inner_H(u, apply_A(w, check=False))
+        lhs = inner_H(apply_A(u), w)
+        rhs = inner_H(u, apply_A(w))
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_energy_matches_V_norm_under_refinement(self, rng):
@@ -158,7 +158,7 @@ class TestOperatorA:
         for n in (8, 16):
             grid = GridSpec(n1=n, n2=n, nz=n)
             v = random_smooth_field(np.random.default_rng(5), grid)
-            e_sbp = inner_H(apply_A(v, check=False), v)
+            e_sbp = inner_H(apply_A(v), v)
             e_v = norm_V(v) ** 2
             gaps.append(abs(e_sbp - e_v) / e_v)
         assert gaps[1] < gaps[0]
@@ -181,4 +181,4 @@ class TestOperatorA:
         lam = smallest_eigenvalue_A(grid8)
         for _ in range(5):
             v = project_H(apply_bc(raw_field(grid8, rng)))
-            assert lam * norm_H(v) ** 2 <= inner_H(apply_A(v, check=False), v) * (1 + 1e-9)
+            assert lam * norm_H(v) ** 2 <= inner_H(apply_A(v), v) * (1 + 1e-9)

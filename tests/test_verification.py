@@ -1,5 +1,7 @@
 """Manufactured-solution machinery (the full ladder runs in acceptance)."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,7 @@ class TestConvergenceReport:
         assert np.isnan(ConvergenceReport().spatial_order)
 
     def test_to_dict_keys(self):
-        d = ConvergenceReport().to_dict()
-        assert set(d) == {"spatial_grids", "spatial_errors", "spatial_orders",
-                          "temporal_dts", "temporal_errors", "temporal_orders"}
+        # run_verify writes asdict(report): these keys, in this order
+        d = asdict(ConvergenceReport())
+        assert list(d) == ["spatial_grids", "spatial_errors", "spatial_orders",
+                           "temporal_dts", "temporal_errors", "temporal_orders"]
