@@ -6,12 +6,16 @@ the recorded trajectories of ``estimates`` and the manufactured-solution
 ladder all advance through it.
 
 The scheme is first-order IMEX Euler: explicit skew-symmetrized advection
-and forcing, implicit BC-aware diffusion, then projection.  The diffusion
-solve is exact by fast diagonalization (the operator is a Kronecker sum of
-three 1D second differences on the free nodes); its result is checked by
-the stencil residual test of the weighted CG, which would iterate further
-only if that residual exceeded DIFFUSION_RTOL; it pins the Dirichlet
-nodes with ``fields.zero_dirichlet``.  A step evaluates the diagnostic
+and forcing, implicit BC-aware diffusion, then projection.  ``nonlinear_B``
+takes its six derivative products of both components at once, as 4D
+arrays, through the cached per-axis SBP matrices (``grid.along``).  The
+diffusion solve is exact by fast diagonalization (the operator is a
+Kronecker sum of three 1D second differences on the free nodes): its
+eigenvector transforms are per-axis matmuls through the same helper, and
+its result is checked by the residual test of the weighted CG, which
+applies the Laplacian once and would iterate further only if that residual
+exceeded DIFFUSION_RTOL; it pins the Dirichlet nodes with
+``fields.zero_dirichlet``.  A step evaluates the diagnostic
 vertical velocity of its state once and passes it to both ``cfl_dt`` and
 ``nonlinear_B``; ``project_H`` returns BC-clean fields, so no boundary
 assignment follows it, and no kernel checks boundary values: every state
@@ -37,7 +41,7 @@ import numpy as np
 
 from .errors import DivergenceError, InputError
 from .fields import HorizontalField, laplacian3, u3_diagnostic, zero_dirichlet
-from .grid import GridSpec, diff_sbp
+from .grid import GridSpec, along, diff_matrix
 from .linalg import weighted_cg
 from .norms import norm_H, norm_report
 from .projection import project_H
@@ -97,25 +101,15 @@ def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
     if w3 is None:
         w3 = u3_diagnostic(v_adv)
     a1, a2 = v_adv.u1, v_adv.u2
-    out = np.empty_like(v.data)
-    for c in range(2):
-        vc = v.data[c]
-        adv = (a1 * diff_sbp(vc, g.d1, 0)
-               + a2 * diff_sbp(vc, g.d2, 1)
-               + w3 * diff_sbp(vc, g.dz, 2))
-        dvg = (diff_sbp(a1 * vc, g.d1, 0)
-               + diff_sbp(a2 * vc, g.d2, 1)
-               + diff_sbp(w3 * vc, g.dz, 2))
-        out[c] = 0.5 * (adv + dvg)
+    mx = diff_matrix("sbp", g.n1, g.d1)
+    my = diff_matrix("sbp", g.n2, g.d2)
+    mz = diff_matrix("sbp", g.nz, g.dz)
+    vd = v.data
+    adv = a1 * along(mx, vd, 1) + a2 * along(my, vd, 2) + w3 * along(mz, vd, 3)
+    dvg = (along(mx, a1 * vd, 1) + along(my, a2 * vd, 2)
+           + along(mz, w3 * vd, 3))
+    out = 0.5 * (adv + dvg)
     return HorizontalField(out, g)
-
-
-def _transform(a: np.ndarray, mx: np.ndarray, my: np.ndarray,
-               mz: np.ndarray) -> np.ndarray:
-    """Apply one 1D matrix along each of the axes 1, 2, 3 of ``a``."""
-    shape = a.shape
-    a = (mx @ a.reshape(shape[0], shape[1], -1)).reshape(shape)
-    return (my @ a) @ mz.T
 
 
 def _separable_solve(b: np.ndarray, grid: GridSpec, dt_nu: float) -> np.ndarray:
@@ -125,9 +119,9 @@ def _separable_solve(b: np.ndarray, grid: GridSpec, dt_nu: float) -> np.ndarray:
     nodes of the result are zero."""
     (fx, bx), (fy, by), (fz, bz), lam = _grid.laplacian_eigenbasis(grid)
     free = (slice(None), slice(1, grid.n1), slice(1, grid.n2), slice(1, None))
+    y = along(fz, along(fy, along(fx, b[free], 1), 2), 3) / (1.0 - dt_nu * lam)
     x = np.zeros_like(b)
-    x[free] = _transform(_transform(b[free], fx, fy, fz) / (1.0 - dt_nu * lam),
-                         bx, by, bz)
+    x[free] = along(bz, along(by, along(bx, y, 1), 2), 3)
     return x
 
 

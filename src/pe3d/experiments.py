@@ -229,8 +229,7 @@ def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
         trace, pooled, windows = run_chain(kc, cfg.sim, v0, chain_index=k)
         write_chain_csv(outdir / f"chain_{k}.csv", trace)
         _write_json(outdir / f"measure_{k}.json", pooled.to_dict())
-        series = [wasserstein1(a.samples["E2"], b.samples["E2"])
-                  for a, b in zip(windows, windows[1:])]
+        series = [wasserstein1(a, b) for a, b in zip(windows, windows[1:])]
         results.append((trace, pooled, series))
     max_E2 = max(float(tr.E2.max()) for tr, _, _ in results)
     pooled_E2 = [p.samples["E2"] for _, p, _ in results]

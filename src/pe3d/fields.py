@@ -5,7 +5,8 @@ and the bottom): ``zero_dirichlet`` zeroes them in place, ``apply_bc`` on a
 copy, and ``bc_residual`` reads them.  The top face is Neumann and is never
 assigned.  ``laplacian3`` and ``u3_diagnostic`` read the grid from the
 field and do not check its boundary values; every caller in the package
-passes a BC-clean field.
+passes a BC-clean field.  ``laplacian3`` differentiates both components as
+one 4D array, one matmul per axis (``grid.along``).
 """
 
 from __future__ import annotations
@@ -103,11 +104,9 @@ def bc_residual(v: HorizontalField) -> float:
 def laplacian3(v: HorizontalField) -> HorizontalField:
     """Component-wise 7-point Laplacian with the boundary conditions baked
     into the ghost values (odd reflection across Dirichlet faces, even
-    reflection across the top)."""
-    lap = np.empty_like(v.data)
-    for c in range(2):
-        lap[c] = laplacian_bc(v.data[c], v.grid)
-    return HorizontalField(lap, v.grid)
+    reflection across the top); both components go through each of the
+    three per-axis matrices together, as one 4D array."""
+    return HorizontalField(laplacian_bc(v.data, v.grid), v.grid)
 
 
 def u3_diagnostic(v: HorizontalField) -> np.ndarray:

@@ -8,13 +8,16 @@ Boundary conditions baked into the stencils:
   * v = 0 on the bottom and side faces (Dirichlet, odd-reflection ghosts),
   * dv/dz = 0 on the top face (Neumann, even-reflection ghosts).
 
-The difference stencils index the differentiated axis through index
-tuples cached per (ndim, axis): no axis is moved to the front and back.
+Each 1D difference operator is a stencil written once along axis 0 and
+applied to an identity: ``diff_matrix`` caches the resulting small dense
+matrix per (kind, n, d), and ``along`` applies it to one axis of a 1D to 4D
+array in a single BLAS matmul.  The stencils themselves never touch a field.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,16 +103,72 @@ def weights3(grid: GridSpec) -> np.ndarray:
 # Difference operators
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _planes(ndim: int, axis: int) -> tuple[tuple, ...]:
-    """Index tuples selecting, along ``axis`` of an ndim array, the slabs
-    [1:-1], [2:], [:-2] and the planes 0, 1, 2, -1, -2, -3, in that order."""
-    def at(i):
-        idx = [slice(None)] * ndim
-        idx[axis] = i
-        return tuple(idx)
-    return tuple(at(i) for i in (slice(1, -1), slice(2, None), slice(None, -2),
-                                 0, 1, 2, -1, -2, -3))
+def _sbp(f: np.ndarray, d: float) -> np.ndarray:
+    """Centered interior, one-sided first order at the two end planes."""
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
+    out[0] = (f[1] - f[0]) / d
+    out[-1] = (f[-1] - f[-2]) / d
+    return out
+
+
+def _onesided2(f: np.ndarray, d: float) -> np.ndarray:
+    """Centered interior, one-sided second order at the end planes."""
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * d)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * d)
+    return out
+
+
+def _second_diff(f: np.ndarray, d: float, top: str) -> np.ndarray:
+    """Second derivative with ghost values fixed by the boundary condition:
+    odd reflection (Dirichlet zero) at the low end, and either odd
+    reflection (``top='dirichlet'``) or even reflection (``top='neumann'``)
+    at the high end."""
+    out = np.empty_like(f)
+    d2 = d * d
+    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / d2
+    # odd reflection: ghost = -f[1], so the f[1] contributions cancel
+    out[0] = -2.0 * f[0] / d2
+    if top == "dirichlet":
+        out[-1] = -2.0 * f[-1] / d2
+    else:
+        # even reflection: ghost = f[-2]
+        out[-1] = 2.0 * (f[-2] - f[-1]) / d2
+    return out
+
+
+#: operator kind -> stencil along axis 0
+STENCILS = {
+    "sbp": _sbp,
+    "onesided2": _onesided2,
+    "dirichlet": lambda f, d: _second_diff(f, d, "dirichlet"),
+    "neumann": lambda f, d: _second_diff(f, d, "neumann"),
+}
+
+
+@functools.lru_cache(maxsize=64)
+def diff_matrix(kind: str, n: int, d: float) -> np.ndarray:
+    """The read-only (n+1) x (n+1) matrix of stencil ``kind`` with spacing
+    d: the stencil applied to the identity."""
+    m = STENCILS[kind](np.eye(n + 1), d)
+    m.setflags(write=False)
+    return m
+
+
+def along(m: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
+    """Apply the square matrix m along ``axis`` (nonnegative) of f in one
+    matmul: the first and last axes are reshaped to the front or back of a
+    2D operand, a middle axis is the row axis of a stack of matrices, so no
+    axis is ever transposed."""
+    shape = f.shape
+    n = shape[axis]
+    if axis == 0:
+        return (m @ f.reshape(n, -1)).reshape(shape)
+    if axis == f.ndim - 1:
+        return (f.reshape(-1, n) @ m.T).reshape(shape)
+    return (m @ f.reshape(-1, n, math.prod(shape[axis + 1:]))).reshape(shape)
 
 
 def diff_sbp(f: np.ndarray, d: float, axis: int) -> np.ndarray:
@@ -117,49 +176,23 @@ def diff_sbp(f: np.ndarray, d: float, axis: int) -> np.ndarray:
     the two end planes.  With the trapezoid weights this pair satisfies the
     summation-by-parts identity exactly, which is what makes the
     skew-symmetrized advection energy-neutral."""
-    mid, hi, lo, p0, p1, _, m1, m2, _ = _planes(f.ndim, axis)
-    out = np.empty_like(f)
-    out[mid] = (f[hi] - f[lo]) / (2.0 * d)
-    out[p0] = (f[p1] - f[p0]) / d
-    out[m1] = (f[m1] - f[m2]) / d
-    return out
+    return along(diff_matrix("sbp", f.shape[axis] - 1, d), f, axis)
 
 
 def diff_onesided2(f: np.ndarray, d: float, axis: int) -> np.ndarray:
     """First derivative: centered interior, one-sided second order at the
     boundary planes (used by the norm quadratures; no BC assumption)."""
-    mid, hi, lo, p0, p1, p2, m1, m2, m3 = _planes(f.ndim, axis)
-    out = np.empty_like(f)
-    out[mid] = (f[hi] - f[lo]) / (2.0 * d)
-    out[p0] = (-3.0 * f[p0] + 4.0 * f[p1] - f[p2]) / (2.0 * d)
-    out[m1] = (3.0 * f[m1] - 4.0 * f[m2] + f[m3]) / (2.0 * d)
-    return out
-
-
-def _second_diff(f: np.ndarray, d: float, axis: int, top: str) -> np.ndarray:
-    """Second derivative with ghost values fixed by the boundary condition:
-    odd reflection (Dirichlet zero) at the low end, and either odd
-    reflection (``top='dirichlet'``) or even reflection (``top='neumann'``)
-    at the high end."""
-    mid, hi, lo, p0, _, _, m1, m2, _ = _planes(f.ndim, axis)
-    out = np.empty_like(f)
-    d2 = d * d
-    out[mid] = (f[hi] - 2.0 * f[mid] + f[lo]) / d2
-    # odd reflection: ghost = -f[1], so the f[1] contributions cancel
-    out[p0] = -2.0 * f[p0] / d2
-    if top == "dirichlet":
-        out[m1] = -2.0 * f[m1] / d2
-    else:
-        # even reflection: ghost = f[-2]
-        out[m1] = 2.0 * (f[m2] - f[m1]) / d2
-    return out
+    return along(diff_matrix("onesided2", f.shape[axis] - 1, d), f, axis)
 
 
 def laplacian_bc(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """BC-aware 7-point Laplacian of one scalar component (no input checks)."""
-    out = _second_diff(a, grid.d1, 0, "dirichlet")
-    out += _second_diff(a, grid.d2, 1, "dirichlet")
-    out += _second_diff(a, grid.dz, 2, "neumann")
+    """BC-aware 7-point Laplacian along the last three axes (x, y, z) of a
+    3D component or a 4D stack of them (no input checks): odd reflection
+    across the Dirichlet faces, even reflection across the top."""
+    ax = a.ndim - 3
+    out = along(diff_matrix("dirichlet", grid.n1, grid.d1), a, ax)
+    out += along(diff_matrix("dirichlet", grid.n2, grid.d2), a, ax + 1)
+    out += along(diff_matrix("neumann", grid.nz, grid.dz), a, ax + 2)
     return out
 
 
@@ -170,7 +203,7 @@ def _free_eigenpairs(n: int, d: float, top: str):
     to ``eigh``; returns the forward transform Q^T W^(1/2), the back
     transform W^(-1/2) Q and the eigenvalues."""
     free = slice(1, n) if top == "dirichlet" else slice(1, n + 1)
-    D = _second_diff(np.eye(n + 1), d, 0, top)[free, free]
+    D = diff_matrix(top, n, d)[free, free]
     sw = np.sqrt(_trapezoid_weights(n, d)[free])
     M = sw[:, None] * D / sw[None, :]
     lam, Q = np.linalg.eigh(0.5 * (M + M.T))

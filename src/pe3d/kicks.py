@@ -8,7 +8,7 @@ V-norm too); a draw records its V-norm and whether either rescaling fired.
 Empirical measures are pooled histograms of observable pushforwards (time
 averages in the sense of Krylov-Bogolyubov); their convergence proxy is the
 1-Wasserstein distance between the E2 samples of consecutive windows of a
-chain (``wasserstein1``).
+chain (``wasserstein1``), which ``run_chain`` returns as plain arrays.
 
 RNG: numpy PCG64 seeded through SeedSequence((seed, chain_index)), which
 is documented platform-stable.
@@ -163,10 +163,10 @@ def _observe(v: HorizontalField) -> tuple[float, float, float, float]:
 
 def run_chain(config: KickConfig, params: SimulationParams,
               v0: HorizontalField, chain_index: int = 0
-              ) -> tuple[ChainTrace, EmpiricalMeasure, list[EmpiricalMeasure]]:
+              ) -> tuple[ChainTrace, EmpiricalMeasure, list[np.ndarray]]:
     """Iterate the chain N times; pool post-burn-in observable samples into
-    an EmpiricalMeasure, plus N_WINDOWS equal-width windowed measures for
-    convergence diagnostics."""
+    an EmpiricalMeasure, and split the post-burn-in E2 samples into
+    N_WINDOWS equal-width windows for convergence diagnostics."""
     if config.T <= 0:
         raise InputError("run_chain: inter-kick time T must be positive "
                          "(T = 0 in a config means: measure T_V first)")
@@ -184,13 +184,9 @@ def run_chain(config: KickConfig, params: SimulationParams,
     post = arr[config.burn_in:, :]
     pooled = EmpiricalMeasure(samples={
         name: post[:, i + 1].copy() for i, name in enumerate(OBSERVABLES)})
-    windows = []
-    width = len(post) // N_WINDOWS
-    if width >= 1:
-        for k in range(N_WINDOWS):
-            chunk = post[k * width:(k + 1) * width]
-            windows.append(EmpiricalMeasure(samples={
-                name: chunk[:, i + 1].copy() for i, name in enumerate(OBSERVABLES)}))
+    E2 = pooled.samples["E2"]
+    width = len(E2) // N_WINDOWS
+    windows = [E2[k * width:(k + 1) * width] for k in range(N_WINDOWS)] if width else []
     return trace, pooled, windows
 
 

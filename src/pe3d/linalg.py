@@ -26,6 +26,8 @@ def weighted_cg(apply_op: Callable[[np.ndarray], np.ndarray],
     inner product <u, w> = sum(weights * u * w).
 
     Raises SolverError with the final relative residual on non-convergence.
+    An ``x0`` that already meets the tolerance is returned as it is, without
+    a copy; otherwise it is left untouched.
     """
 
     def inner(u, w):
@@ -34,13 +36,13 @@ def weighted_cg(apply_op: Callable[[np.ndarray], np.ndarray],
     bnorm = np.sqrt(max(inner(b, b), 0.0))
     if bnorm == 0.0:
         return np.zeros_like(b)
-    x = np.zeros_like(b) if x0 is None else x0.copy()
+    x = np.zeros_like(b) if x0 is None else x0
     r = b - apply_op(x)
-    p = r.copy()
     rs = inner(r, r)
     tol2 = (rel_tol * bnorm) ** 2
     if rs <= tol2:
         return x
+    x, p = x.copy(), r.copy()
     for _ in range(max_iter):
         Ap = apply_op(p)
         pAp = inner(p, Ap)

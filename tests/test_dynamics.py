@@ -1,15 +1,18 @@
 """Nonlinear term, time stepper, and solution-operator properties."""
 
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raw_field
+from conftest import raw_field, ref_second_diff
 from pe3d import dynamics
-from pe3d import grid as grid_mod
 from pe3d.dynamics import (SimState, SimulationParams, _implicit_diffusion,
                            _separable_solve, cfl_dt, integrate, nonlinear_B,
                            solve_S, step)
@@ -88,7 +91,8 @@ class TestNonlinearTerm:
 
 
 def _dense_system(grid, dt_nu, w):
-    """(I - dt nu lap_bc) assembled column by column, the right-hand side,
+    """(I - dt nu lap_bc) assembled column by column from the moveaxis
+    reference stencils (not the production matrices), the right-hand side,
     and the mask of free (non-Dirichlet) unknowns."""
     n = w.data.size
     A = np.empty((n, n))
@@ -96,8 +100,9 @@ def _dense_system(grid, dt_nu, w):
         e = np.zeros(n)
         e[j] = 1.0
         data = e.reshape(w.data.shape).copy()
-        lap = np.stack([grid_mod.laplacian_bc(data[0], grid),
-                        grid_mod.laplacian_bc(data[1], grid)])
+        lap = (ref_second_diff(data, grid.d1, 1, "dirichlet")
+               + ref_second_diff(data, grid.d2, 2, "dirichlet")
+               + ref_second_diff(data, grid.dz, 3, "neumann"))
         A[:, j] = zero_dirichlet(data - dt_nu * lap).ravel()
     rhs = zero_dirichlet(w.data.copy()).ravel()
     free = zero_dirichlet(np.ones_like(w.data)).ravel().astype(bool)
@@ -232,6 +237,20 @@ class TestStepper:
         assert e.diagnostics["t"] == 1.0
 
 
+#: a short 24^3 integration; prints the step count and the final state's hash
+_THREADS_SCRIPT = """\
+import hashlib
+import numpy as np
+from pe3d.dynamics import SimulationParams, integrate
+from pe3d.grid import GridSpec
+from pe3d.sampling import random_smooth_field
+grid = GridSpec(n1=24, n2=24, nz=24)
+v0 = random_smooth_field(np.random.default_rng(5), grid)
+state = integrate(v0, 0.01, SimulationParams(dt_max=2e-3))
+print(state.step_count, hashlib.sha256(state.v.data.tobytes()).hexdigest())
+"""
+
+
 class TestIntegrate:
     def test_solve_S_computes_no_norm_report(self, smooth8, monkeypatch):
         calls = []
@@ -275,6 +294,22 @@ class TestIntegrate:
         state = integrate(v, 20 * 1.5e-4, params, on_step=lambda *a: None)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
         assert faults < 20 * state.step_count
+
+    def test_state_bytes_do_not_depend_on_blas_threads(self):
+        # every difference operator is a BLAS matmul; a fresh process per
+        # thread count, since OpenBLAS reads its thread count at load
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120, check=True)
+            digests.append(proc.stdout.split())
+        assert int(digests[0][0]) > 1
+        assert digests[0] == digests[1]
 
     def test_run_chain_rejects_zero_T(self, smooth8):
         with pytest.raises(InputError, match="T must be positive"):

@@ -5,43 +5,16 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from pe3d.errors import InputError
-from pe3d.grid import (GridSpec, _second_diff, cumulative_z_integral,
-                       diff_onesided2, diff_sbp, div2, laplacian_bc,
-                       vertical_integral, weights2, weights3)
+from conftest import REFERENCES
+from pe3d.grid import (STENCILS, GridSpec, along, cumulative_z_integral,
+                       diff_matrix, diff_onesided2, diff_sbp, div2,
+                       laplacian_bc, vertical_integral, weights2, weights3)
 
+EPS = np.finfo(float).eps
 
-# the stencils written with np.moveaxis round trips: the reference that the
-# slice-indexed kernels must reproduce bit for bit
-
-def _ref_sbp(f, d, axis):
-    f = np.moveaxis(f, axis, 0)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
-    out[0] = (f[1] - f[0]) / d
-    out[-1] = (f[-1] - f[-2]) / d
-    return np.moveaxis(out, 0, axis)
-
-
-def _ref_onesided2(f, d, axis):
-    f = np.moveaxis(f, axis, 0)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * d)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * d)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * d)
-    return np.moveaxis(out, 0, axis)
-
-
-def _ref_second_diff(f, d, axis, top):
-    f = np.moveaxis(f, axis, 0)
-    out = np.empty_like(f)
-    d2 = d * d
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / d2
-    out[0] = -2.0 * f[0] / d2
-    if top == "dirichlet":
-        out[-1] = -2.0 * f[-1] / d2
-    else:
-        out[-1] = 2.0 * (f[-2] - f[-1]) / d2
-    return np.moveaxis(out, 0, axis)
+#: shapes of the applied-operator checks, 1D to 4D; every axis has at least
+#: the three nodes the one-sided stencil reads
+SHAPES = [(9,), (6, 7), (5, 6, 7), (3, 5, 6, 7), (3, 17, 17, 17)]
 
 
 class TestGridSpec:
@@ -101,18 +74,75 @@ class TestDifferenceOperators:
 
     @pytest.mark.parametrize("shape", [(9,), (6, 7), (5, 6, 7)])
     def test_slice_kernels_match_moveaxis_reference(self, shape, rng):
+        # the stencil builders (along axis 0) against the references
+        base = rng.standard_normal(shape)
+        d = 0.37
+        for f in (base, base.T):
+            for kind, stencil in STENCILS.items():
+                got, ref = stencil(f, d), REFERENCES[kind](f, d, 0)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n, d", [(4, 0.37), (16, 1.0 / 16), (24, 1.0 / 24)])
+    def test_cached_matrix_is_stencil_of_identity(self, n, d):
+        for kind, stencil in STENCILS.items():
+            m = diff_matrix(kind, n, d)
+            assert m.shape == (n + 1, n + 1) and not m.flags.writeable
+            assert m.tobytes() == stencil(np.eye(n + 1), d).tobytes()
+            assert diff_matrix(kind, n, d) is m
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_applied_operators_match_reference(self, shape, rng):
+        # every axis, C- and F-ordered input; the matmul sums the same
+        # products as the stencil in another order, possibly fused, so each
+        # entry may move by a few roundings of the terms it sums
         base = rng.standard_normal(shape)
         d = 0.37
         for f in (base, base.T):
             for axis in range(f.ndim):
-                pairs = [(diff_sbp(f, d, axis), _ref_sbp(f, d, axis)),
-                         (diff_onesided2(f, d, axis), _ref_onesided2(f, d, axis))]
-                pairs += [(_second_diff(f, d, axis, top),
-                           _ref_second_diff(f, d, axis, top))
-                          for top in ("dirichlet", "neumann")]
-                for got, ref in pairs:
-                    assert got.shape == ref.shape
-                    assert got.tobytes() == ref.tobytes()
+                for kind, ref in REFERENCES.items():
+                    m = diff_matrix(kind, f.shape[axis] - 1, d)
+                    got = along(m, f, axis)
+                    bound = 8.0 * EPS * along(np.abs(m), np.abs(f), axis)
+                    assert got.shape == f.shape
+                    assert np.all(np.abs(got - ref(f, d, axis)) <= bound)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_applied_operators_exact_at_dyadic_spacing(self, shape, rng):
+        # with d = 1/16 every matrix entry is the stencil's coefficient
+        # scaled by a power of two.  On integer-valued input every product
+        # and partial sum is exact, so each entry equals the reference byte
+        # for byte whatever order BLAS sums in; on Gaussian input so does
+        # every row with at most two terms (one rounding either way).  Rows
+        # with three terms depend on the BLAS kernel's order and fusing.
+        d = 1.0 / 16
+        ints = rng.integers(-2 ** 20, 2 ** 20, size=shape).astype(float)
+        gauss = rng.standard_normal(shape)
+        for base in (ints, gauss):
+            for f in (base, base.T):
+                for axis in range(f.ndim):
+                    for kind, ref in REFERENCES.items():
+                        m = diff_matrix(kind, f.shape[axis] - 1, d)
+                        got = np.moveaxis(along(m, f, axis), axis, 0)
+                        want = np.moveaxis(ref(f, d, axis), axis, 0)
+                        if base is gauss:
+                            rows = np.count_nonzero(m, axis=1) <= 2
+                            got, want = got[rows], want[rows]
+                        assert got.tobytes() == want.tobytes()
+
+    def test_laplacian_of_a_component_stack_matches_reference(self, grid12, rng):
+        # laplacian_bc differentiates the last three axes, of one 3D
+        # component or a 4D stack of them, as the three references summed
+        a = rng.standard_normal((2,) + grid12.shape)
+        spacings = (grid12.d1, grid12.d2, grid12.dz)
+        tops = ("dirichlet", "dirichlet", "neumann")
+        for f, ax in ((a, 1), (a[1], 0)):
+            ref = sum(REFERENCES[top](f, d, ax + i)
+                      for i, (d, top) in enumerate(zip(spacings, tops)))
+            scale = sum(along(np.abs(diff_matrix(top, f.shape[ax + i] - 1, d)),
+                              np.abs(f), ax + i)
+                        for i, (d, top) in enumerate(zip(spacings, tops)))
+            assert np.all(np.abs(laplacian_bc(f, grid12) - ref) <= 16.0 * EPS * scale)
 
     def test_onesided2_exact_on_quadratics(self, grid12):
         X, _, _ = grid12.meshgrid()

@@ -123,7 +123,12 @@ class TestEmpiricalMeasure:
     def test_histograms_built_and_roundtrip(self, grid6, kick_cfg, params):
         v0 = random_smooth_field(np.random.default_rng(0), grid6)
         _, pooled, windows = run_chain(kick_cfg, params, v0)
-        assert len(windows) == N_WINDOWS
+        # the windows are consecutive equal slices of the pooled E2 samples
+        width = (kick_cfg.N - kick_cfg.burn_in) // N_WINDOWS
+        assert width >= 1 and len(windows) == N_WINDOWS
+        for k, window in enumerate(windows):
+            expected = pooled.samples["E2"][k * width:(k + 1) * width]
+            assert window.tobytes() == expected.tobytes()
         back = json.loads(json.dumps(pooled.to_dict()))
         assert list(back) == list(OBSERVABLES)
         for name, entry in back.items():

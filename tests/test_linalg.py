@@ -35,9 +35,29 @@ class TestWeightedCG:
         A, M, W = _weighted_spd_problem(rng)
         b = rng.standard_normal(len(W))
         expected = np.linalg.solve(M, W * b)
+        x0 = expected + 1e-6 * rng.standard_normal(len(W))
+        start = x0.copy()
         x = weighted_cg(lambda v: A @ v, b, W, rel_tol=1e-12, max_iter=500,
-                        x0=expected + 1e-6 * rng.standard_normal(len(W)))
+                        x0=x0)
         assert np.allclose(x, expected, rtol=1e-8, atol=1e-10)
+        assert x0.tobytes() == start.tobytes()
+
+    def test_accepted_start_returned_uncopied(self, rng):
+        # a start that meets the tolerance costs one operator application
+        # and comes back as the same array, bits untouched
+        A, M, W = _weighted_spd_problem(rng)
+        b = rng.standard_normal(len(W))
+        x0 = np.linalg.solve(M, W * b)
+        start = x0.copy()
+        applies = []
+
+        def op(v):
+            applies.append(1)
+            return A @ v
+
+        x = weighted_cg(op, b, W, rel_tol=1e-8, max_iter=500, x0=x0)
+        assert x is x0 and x.tobytes() == start.tobytes()
+        assert len(applies) == 1
 
     def test_nonconvergence_raises(self, rng):
         A, _, W = _weighted_spd_problem(rng)
