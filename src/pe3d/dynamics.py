@@ -15,11 +15,12 @@ eigenvector transforms are per-axis matmuls through the same helper, and
 its result is checked by the residual test of the weighted CG, which
 applies the Laplacian once and would iterate further only if that residual
 exceeded DIFFUSION_RTOL; it pins the Dirichlet nodes with
-``fields.zero_dirichlet``.  A step evaluates the diagnostic
-vertical velocity of its state once and passes it to both ``cfl_dt`` and
-``nonlinear_B``; ``project_H`` returns BC-clean fields, so no boundary
-assignment follows it, and no kernel checks boundary values: every state
-``integrate`` hands a step is an output of ``project_H``.
+``fields.zero_dirichlet``.  A step takes its state's 4D x- and
+y-derivatives once: ``nonlinear_B`` reuses them, and their divergence gives
+the vertical velocity that ``cfl_dt`` and ``nonlinear_B`` share.
+``project_H`` returns BC-clean fields, so no boundary assignment follows it
+and no kernel checks boundary values: every state ``integrate`` hands a
+step is an output of ``project_H``.
 
 The skew-symmetrized advection makes the discrete trilinear form
 <B(v,v), v> vanish up to the constraint residual, so the per-step energy
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import DivergenceError, InputError
 from .fields import HorizontalField, laplacian3, u3_diagnostic, zero_dirichlet
-from .grid import GridSpec, along, diff_matrix
+from .grid import GridSpec, along, cumulative_z_integral, diff_matrix
 from .linalg import weighted_cg
 from .norms import norm_H, norm_report
 from .projection import project_H
@@ -85,27 +86,38 @@ class SimState:
     step_count: int = 0
 
 
+def _horizontal_derivatives(v: HorizontalField) -> tuple[np.ndarray, np.ndarray]:
+    """The SBP x- and y-derivatives of both components of v, as 4D arrays."""
+    g = v.grid
+    return (along(diff_matrix("sbp", g.n1, g.d1), v.data, 1),
+            along(diff_matrix("sbp", g.n2, g.d2), v.data, 2))
+
+
 def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
-                w3: np.ndarray | None = None) -> HorizontalField:
+                w3: np.ndarray | None = None,
+                dv: tuple[np.ndarray, np.ndarray] | None = None) -> HorizontalField:
     """Skew-symmetrized advection
     (1/2)[(u.grad)v + div(u v)] with u = (v_adv, diagnostic u3).
 
     Both forms use the same SBP difference stencils, so the energy pairing
     <B(v,v), v> reduces to boundary terms that vanish for BC-clean,
     constraint-satisfying states.  No projection is applied here.  ``w3``
-    is ``u3_diagnostic(v_adv)``, computed here if not given.
+    is ``u3_diagnostic(v_adv)`` and ``dv`` is
+    ``_horizontal_derivatives(v)``; each is computed here if not given.
     """
     if v_adv.data.shape != v.data.shape:
         raise InputError("nonlinear_B: field shapes differ")
     g = v.grid
     if w3 is None:
         w3 = u3_diagnostic(v_adv)
+    if dv is None:
+        dv = _horizontal_derivatives(v)
     a1, a2 = v_adv.u1, v_adv.u2
     mx = diff_matrix("sbp", g.n1, g.d1)
     my = diff_matrix("sbp", g.n2, g.d2)
     mz = diff_matrix("sbp", g.nz, g.dz)
     vd = v.data
-    adv = a1 * along(mx, vd, 1) + a2 * along(my, vd, 2) + w3 * along(mz, vd, 3)
+    adv = a1 * dv[0] + a2 * dv[1] + w3 * along(mz, vd, 3)
     dvg = (along(mx, a1 * vd, 1) + along(my, a2 * vd, 2)
            + along(mz, w3 * vd, 3))
     out = 0.5 * (adv + dvg)
@@ -169,13 +181,15 @@ def step(state: SimState, params: SimulationParams,
     that report."""
     v = state.v
     g = v.grid
-    w3 = u3_diagnostic(v)
+    dv = _horizontal_derivatives(v)
+    # u3_diagnostic(v), bit for bit, from the divergence dv holds
+    w3 = -cumulative_z_integral(dv[0][0] + dv[1][1], g)
     dt = cfl_dt(v, params, w3)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 
-    B = nonlinear_B(v, v, w3=w3)
-    del w3   # not needed past the advection; frees it before the solve
+    B = nonlinear_B(v, v, w3=w3, dv=dv)
+    del w3, dv   # not needed past the advection; frees them before the solve
     w = HorizontalField(v.data - dt * B.data, g)
     if forcing is not None:
         w.data += dt * forcing.data

@@ -64,7 +64,9 @@ class TestNonlinearTerm:
         v_adv, v = raw_field(grid12, rng), raw_field(grid12, rng)
         ref = _reference_B(v_adv, v)
         w3 = u3_diagnostic(v_adv)
+        dv = dynamics._horizontal_derivatives(v)
         assert nonlinear_B(v_adv, v, w3=w3).data.tobytes() == ref.tobytes()
+        assert nonlinear_B(v_adv, v, w3=w3, dv=dv).data.tobytes() == ref.tobytes()
         assert nonlinear_B(v_adv, v).data.tobytes() == ref.tobytes()
 
     def test_energy_neutrality(self, smooth8):
@@ -182,17 +184,31 @@ class TestStepper:
             state = step(state, params, record=rec)
             assert rec["slack"] <= 1e-12 * rec["H2_old"]
 
-    def test_step_evaluates_u3_once(self, smooth8, monkeypatch):
-        # cfl_dt and nonlinear_B share the step's vertical velocity
-        calls = []
+    def test_step_evaluates_u3_once(self, monkeypatch):
+        # cfl_dt and nonlinear_B share one vertical velocity, built from the
+        # step's own x- and y-derivatives; it is u3_diagnostic's, and the
+        # advection is that of nonlinear_B called alone, byte for byte
+        seen = []
 
-        def counting(v):
-            calls.append(1)
-            return u3_diagnostic(v)
+        def spy(name):
+            real = getattr(dynamics, name)
 
-        monkeypatch.setattr(dynamics, "u3_diagnostic", counting)
-        step(SimState(t=0.0, v=smooth8), SimulationParams(nu=1.0, dt_max=0.01))
-        assert len(calls) == 1
+            def wrapped(*args, **kw):
+                seen.append((args, kw, real(*args, **kw)))
+                return seen[-1][2]
+            monkeypatch.setattr(dynamics, name, wrapped)
+
+        spy("cfl_dt")
+        spy("nonlinear_B")
+        for grid in (GridSpec(n1=12, n2=12, nz=12),
+                     GridSpec(L1=2.0, L2=0.7, h=1.3, n1=24, n2=20, nz=12)):
+            v = project_H(random_smooth_field(np.random.default_rng(3), grid))
+            seen.clear()
+            step(SimState(t=0.0, v=v), SimulationParams(nu=1.0, dt_max=0.01))
+            (cfl_args, _, _), (_, b_kw, B) = seen
+            assert cfl_args[2] is b_kw["w3"]
+            assert b_kw["w3"].tobytes() == u3_diagnostic(v).tobytes()
+            assert B.data.tobytes() == nonlinear_B(v, v).data.tobytes()
 
     def test_dt_cap_landing(self, smooth8):
         params = SimulationParams(dt_max=0.01, cfl=1.0)
@@ -231,6 +247,13 @@ class TestStepper:
         out = solve_S(HorizontalField.zeros(grid8), 1.0, params,
                       forcing_at=lambda t: f)
         assert norm_H(out) > 0.0
+
+    def test_zero_state_stays_zero(self, grid8):
+        # no source and no state: every step is exactly zero
+        z = HorizontalField.zeros(grid8)
+        out = solve_S(z, 0.02, SimulationParams(dt_max=0.005),
+                      forcing_at=lambda t: z)
+        assert not out.data.any()
 
     def test_divergence_error_carries_diagnostics(self):
         e = DivergenceError("boom", diagnostics={"t": 1.0})
