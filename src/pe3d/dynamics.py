@@ -15,21 +15,24 @@ eigenvector transforms are per-axis matmuls through the same helper, and
 its result is checked by the residual test of the weighted CG, which
 applies the Laplacian once and would iterate further only if that residual
 exceeded DIFFUSION_RTOL; it pins the Dirichlet nodes with
-``fields.zero_dirichlet``.  A step takes its state's 4D x- and
-y-derivatives once: ``nonlinear_B`` reuses them, and their divergence gives
-the vertical velocity that ``cfl_dt`` and ``nonlinear_B`` share.
-``project_H`` returns BC-clean fields, so no boundary assignment follows it
-and no kernel checks boundary values: every state ``integrate`` hands a
-step is an output of ``project_H``.
+``fields.zero_dirichlet``.  ``_derivatives_w3`` is the one definition of
+the diagnostic vertical velocity w3: a step takes its state's 4D x- and
+y-derivatives once, ``nonlinear_B`` reuses them, and their divergence
+gives the w3 that ``cfl_dt`` and ``nonlinear_B`` share.  ``project_H``
+returns BC-clean fields, so no boundary assignment follows it and no kernel
+checks boundary values: every state ``integrate`` hands a step is an output
+of ``project_H``.
 
-The skew-symmetrized advection makes the discrete trilinear form
-<B(v,v), v> vanish up to the constraint residual, so the per-step energy
-budget
+A step only advances the state; each ``SimState`` carries the dt of the
+step that produced it.  The skew-symmetrized advection makes the discrete
+trilinear form <B(v,v), v> vanish up to the constraint residual, so the
+per-step energy budget
 
     H2(n+1) + 2 dt nu E2(n+1) <= H2(n) + slack
 
 holds with slack dominated by the (negative) implicit-Euler dissipation
-margin; the recorded slack is exported per step.
+margin; ``estimates.record_trajectory`` records it from ``integrate``'s
+``on_step(before, after)`` callback.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .fields import HorizontalField, laplacian3, u3_diagnostic, zero_dirichlet
-from .grid import GridSpec, along, cumulative_z_integral, diff_matrix
+from .fields import HorizontalField, zero_dirichlet
+from .grid import (GridSpec, along, cumulative_z_integral, diff_matrix,
+                   laplacian_bc)
 from .linalg import weighted_cg
-from .norms import norm_H, norm_report
+from .norms import norm_H
 from .projection import project_H
 from . import grid as _grid
 
@@ -81,37 +85,40 @@ class SimulationParams:
 
 @dataclass
 class SimState:
+    """A state at time t after step_count steps, the last of length dt
+    (0 for a state no step produced)."""
+
     t: float
     v: HorizontalField
     step_count: int = 0
+    dt: float = 0.0
 
 
-def _horizontal_derivatives(v: HorizontalField) -> tuple[np.ndarray, np.ndarray]:
-    """The SBP x- and y-derivatives of both components of v, as 4D arrays."""
+def _derivatives_w3(v: HorizontalField
+                    ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The SBP x- and y-derivatives of both components of v, as 4D arrays,
+    and the diagnostic vertical velocity w3: the cumulative trapezoid of
+    minus their divergence from the bottom, zero at z = -h."""
     g = v.grid
-    return (along(diff_matrix("sbp", g.n1, g.d1), v.data, 1),
-            along(diff_matrix("sbp", g.n2, g.d2), v.data, 2))
+    dv = (along(diff_matrix("sbp", g.n1, g.d1), v.data, 1),
+          along(diff_matrix("sbp", g.n2, g.d2), v.data, 2))
+    return dv, -cumulative_z_integral(dv[0][0] + dv[1][1], g)
 
 
 def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
-                w3: np.ndarray | None = None,
-                dv: tuple[np.ndarray, np.ndarray] | None = None) -> HorizontalField:
+                w3: np.ndarray, dv: tuple[np.ndarray, np.ndarray]) -> HorizontalField:
     """Skew-symmetrized advection
-    (1/2)[(u.grad)v + div(u v)] with u = (v_adv, diagnostic u3).
+    (1/2)[(u.grad)v + div(u v)] with u = (v_adv, w3).
 
     Both forms use the same SBP difference stencils, so the energy pairing
     <B(v,v), v> reduces to boundary terms that vanish for BC-clean,
     constraint-satisfying states.  No projection is applied here.  ``w3``
-    is ``u3_diagnostic(v_adv)`` and ``dv`` is
-    ``_horizontal_derivatives(v)``; each is computed here if not given.
+    is the vertical velocity of v_adv and ``dv`` the x- and y-derivatives
+    of v, both from ``_derivatives_w3``.
     """
     if v_adv.data.shape != v.data.shape:
         raise InputError("nonlinear_B: field shapes differ")
     g = v.grid
-    if w3 is None:
-        w3 = u3_diagnostic(v_adv)
-    if dv is None:
-        dv = _horizontal_derivatives(v)
     a1, a2 = v_adv.u1, v_adv.u2
     mx = diff_matrix("sbp", g.n1, g.d1)
     my = diff_matrix("sbp", g.n2, g.d2)
@@ -147,8 +154,7 @@ def _implicit_diffusion(w: HorizontalField, dt: float, nu: float) -> HorizontalF
     vol = _grid.weights3(g)[None]
 
     def apply_op(data):
-        lap = laplacian3(HorizontalField(data, g)).data
-        return zero_dirichlet(data - dt * nu * lap)
+        return zero_dirichlet(data - dt * nu * laplacian_bc(data, g))
 
     b = zero_dirichlet(w.data.copy())
     x = weighted_cg(apply_op, b, vol, rel_tol=DIFFUSION_RTOL,
@@ -159,31 +165,24 @@ def _implicit_diffusion(w: HorizontalField, dt: float, nu: float) -> HorizontalF
 
 
 def cfl_dt(v: HorizontalField, params: SimulationParams,
-           w3: np.ndarray | None = None) -> float:
+           w3: np.ndarray) -> float:
     """CFL time step from the largest velocity, vertical included; ``w3``
-    is ``u3_diagnostic(v)``, computed here if not given."""
+    is the vertical velocity of v (``_derivatives_w3``)."""
     g = v.grid
-    if w3 is None:
-        w3 = u3_diagnostic(v)
     vmax = max(float(np.abs(v.data).max()), float(np.abs(w3).max()), EPS_VEL)
     return min(params.dt_max, params.cfl * min(g.d1, g.d2, g.dz) / vmax)
 
 
 def step(state: SimState, params: SimulationParams,
          forcing: HorizontalField | None = None,
-         dt_cap: float | None = None,
-         record: dict | None = None) -> SimState:
+         dt_cap: float | None = None) -> SimState:
     """One IMEX Euler step: explicit advection + forcing, implicit
     diffusion, projection.  ``forcing`` is the source at the current time
     (None for none); ``dt_cap`` limits dt so a trajectory can land exactly
-    on a target time.  ``record``, if given, receives dt, the norm report
-    of the new state, the old H2 and the energy-budget slack computed from
-    that report."""
+    on a target time."""
     v = state.v
     g = v.grid
-    dv = _horizontal_derivatives(v)
-    # u3_diagnostic(v), bit for bit, from the divergence dv holds
-    w3 = -cumulative_z_integral(dv[0][0] + dv[1][1], g)
+    dv, w3 = _derivatives_w3(v)
     dt = cfl_dt(v, params, w3)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
@@ -201,14 +200,8 @@ def step(state: SimState, params: SimulationParams,
             f"state diverged at t={state.t:.6g} (step {state.step_count})",
             diagnostics={"t": state.t, "step": state.step_count, "dt": dt,
                          "H_before": norm_H(v)})
-    if record is not None:
-        H2_old = norm_H(v) ** 2
-        report = norm_report(vnew)
-        record["dt"] = dt
-        record["report"] = report
-        record["slack"] = report.H2 + 2.0 * dt * params.nu * report.E2 - H2_old
-        record["H2_old"] = H2_old
-    return SimState(t=state.t + dt, v=vnew, step_count=state.step_count + 1)
+    return SimState(t=state.t + dt, v=vnew, step_count=state.step_count + 1,
+                    dt=dt)
 
 
 def reached(t: float, t_end: float) -> bool:
@@ -243,20 +236,16 @@ def integrate(v0: HorizontalField, t_end: float, params: SimulationParams,
 
     ``forcing_at`` is an optional callable t -> HorizontalField giving the
     source at the start of each step.  ``on_step``, if given, is called as
-    ``on_step(before, after, record)`` after every step, with the step's
-    record (dt, the norm report of the new state, H2_old, slack); without
-    it no step computes a norm report."""
+    ``on_step(before, after)`` after every step."""
     if t_end < 0:
         raise InputError("integrate: negative duration")
     _retain_heap()
     state = SimState(t=0.0, v=project_H(v0))
     while not reached(state.t, t_end):
         forcing = forcing_at(state.t) if forcing_at is not None else None
-        record = {} if on_step is not None else None
-        new = step(state, params, forcing=forcing, dt_cap=t_end - state.t,
-                   record=record)
+        new = step(state, params, forcing=forcing, dt_cap=t_end - state.t)
         if on_step is not None:
-            on_step(state, new, record)
+            on_step(state, new)
         state = new
     return state
 

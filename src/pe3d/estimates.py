@@ -62,17 +62,23 @@ def record_trajectory(v0: HorizontalField, params: SimulationParams,
                       forcing_at=None) -> tuple[TrajectoryDiagnostics, HorizontalField]:
     """Run the stepper to params.t_end, forced by ``forcing_at`` as in
     ``integrate``, sampling the norms every record_every accepted steps
-    (plus the initial and final states)."""
+    (plus the initial and final states).  Every state's norm report is
+    taken once; each step's energy-budget slack
+    H2(n+1) + 2 dt nu E2(n+1) - H2(n) reads the reports of both its ends."""
     samples = []      # (t, norm report, slack summed since the previous sample)
     acc_slack = 0.0
+    prev = None       # the norm report of the state before the step
 
-    def on_step(before, after, rec):
-        nonlocal acc_slack
-        if not samples:
-            samples.append((0.0, norm_report(before.v), 0.0))
-        acc_slack += rec["slack"]
+    def on_step(before, after):
+        nonlocal acc_slack, prev
+        if prev is None:
+            prev = norm_report(before.v)
+            samples.append((0.0, prev, 0.0))
+        report = norm_report(after.v)
+        acc_slack += report.H2 + 2.0 * after.dt * params.nu * report.E2 - prev.H2
+        prev = report
         if after.step_count % record_every == 0 or reached(after.t, params.t_end):
-            samples.append((after.t, rec["report"], acc_slack))
+            samples.append((after.t, report, acc_slack))
             acc_slack = 0.0
 
     state = integrate(v0, params.t_end, params, forcing_at, on_step)

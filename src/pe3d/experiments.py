@@ -19,6 +19,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -66,26 +67,30 @@ def _write_atomic(path, write) -> None:
         raise
 
 
-def write_trajectory_csv(path, diag: TrajectoryDiagnostics) -> None:
-    def write(fh):
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for row in zip(diag.t, diag.H2, diag.E2, diag.J, diag.K,
-                       diag.Kbar, diag.slack):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+def _write_csv(path, header: str, cols, fmt) -> None:
+    _write_atomic(path, lambda fh: np.savetxt(
+        fh, np.column_stack(cols), fmt=fmt, delimiter=",", header=header,
+        comments=""))
 
-    _write_atomic(path, write)
+
+def write_trajectory_csv(path, diag: TrajectoryDiagnostics) -> None:
+    _write_csv(path, TRAJECTORY_HEADER,
+               (diag.t, diag.H2, diag.E2, diag.J, diag.K, diag.Kbar,
+                diag.slack), "%.17g")
 
 
 def read_trajectory_csv(path) -> TrajectoryDiagnostics:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != TRAJECTORY_HEADER:
-        raise InputError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
-    try:
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    except ValueError as e:
-        raise InputError(f"{path}: {e}")
-    if data.ndim != 2 or data.shape[1] != 7:
+        if fh.readline().strip() != TRAJECTORY_HEADER:
+            raise InputError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file: rejected below by its column count
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as e:
+            raise InputError(f"{path}: {e}")
+    if data.shape[1] != 7:
         raise InputError(f"{path}: expected 7 columns")
     return TrajectoryDiagnostics(t=data[:, 0], H2=data[:, 1], E2=data[:, 2],
                                  J=data[:, 3], K=data[:, 4], Kbar=data[:, 5],
@@ -93,15 +98,9 @@ def read_trajectory_csv(path) -> TrajectoryDiagnostics:
 
 
 def write_chain_csv(path, trace) -> None:
-    def write(fh):
-        fh.write(CHAIN_HEADER + "\n")
-        for n, H2, E2, J, K, V2, r in zip(trace.n, trace.H2, trace.E2,
-                                          trace.J, trace.K, trace.kick_V2,
-                                          trace.rescaled):
-            fh.write(f"{n:d}," + ",".join(
-                f"{v:.17g}" for v in (H2, E2, J, K, V2)) + f",{int(r)}\n")
-
-    _write_atomic(path, write)
+    _write_csv(path, CHAIN_HEADER,
+               (trace.n, trace.H2, trace.E2, trace.J, trace.K, trace.kick_V2,
+                trace.rescaled), ["%d"] + ["%.17g"] * 5 + ["%d"])
 
 
 def _write_json(path, obj) -> None:

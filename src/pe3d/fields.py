@@ -3,10 +3,11 @@
 ``DIRICHLET_FACES`` is the one list of the faces where v = 0 (the sides
 and the bottom): ``zero_dirichlet`` zeroes them in place, ``apply_bc`` on a
 copy, and ``bc_residual`` reads them.  The top face is Neumann and is never
-assigned.  ``laplacian3`` and ``u3_diagnostic`` read the grid from the
-field and do not check its boundary values; every caller in the package
-passes a BC-clean field.  ``laplacian3`` differentiates both components as
-one 4D array, one matmul per axis (``grid.along``).
+assigned.  ``laplacian3`` reads the grid from the field and does not check
+its boundary values; every caller in the package passes a BC-clean field.
+It differentiates both components as one 4D array, one matmul per axis
+(``grid.along``).  The diagnostic vertical velocity is built where it is
+used, in ``dynamics``, from the step's own horizontal derivatives.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .grid import GridSpec, cumulative_z_integral, div2, laplacian_bc
+from .grid import GridSpec, laplacian_bc
 
 
 @dataclass
@@ -46,10 +47,6 @@ class HorizontalField:
     @classmethod
     def zeros(cls, grid: GridSpec) -> "HorizontalField":
         return cls(np.zeros((2,) + grid.shape), grid)
-
-    @classmethod
-    def from_components(cls, u1: np.ndarray, u2: np.ndarray, grid: GridSpec) -> "HorizontalField":
-        return cls(np.stack([np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)]), grid)
 
     def copy(self) -> "HorizontalField":
         return HorizontalField(self.data.copy(), self.grid)
@@ -108,8 +105,3 @@ def laplacian3(v: HorizontalField) -> HorizontalField:
     three per-axis matrices together, as one 4D array."""
     return HorizontalField(laplacian_bc(v.data, v.grid), v.grid)
 
-
-def u3_diagnostic(v: HorizontalField) -> np.ndarray:
-    """Diagnostic vertical velocity: cumulative trapezoid of -div2(v) from
-    the bottom; identically zero at z = -h by construction."""
-    return -cumulative_z_integral(div2(v.u1, v.u2, v.grid), v.grid)

@@ -5,13 +5,11 @@ so summation-by-parts identities hold (exactly for the SBP pair, to
 truncation error for the one-sided norm gradients).  Reductions are plain
 numpy sums in fixed axis order, hence bitwise deterministic.
 
-norm_report evaluates all five estimate quantities in one pass: each
-component's gradient is taken once, its z-part is both the integrand of K
-and the input of Kbar's gradient (12 one-sided differences per state).  Its
-sums run in the same order as those of norm_H, norm_V, norm_K and
-norm_Kbar, so H2, E2, K and Kbar equal the separate functions bit for bit.
-norm_V_K does the same for the pair (norm_V, norm_K) that the kick chain
-observes.
+The V, K and Kbar sums have one definition, ``_gradient_sums``: it takes
+each component's gradient once, and its z-part is both the integrand of K
+and, for norm_report, the input of Kbar's gradient (12 one-sided
+differences per state).  norm_V_K, the pair the kick chain observes, and
+norm_report read it; norm_V is norm_V_K's first entry.
 """
 
 from __future__ import annotations
@@ -25,13 +23,9 @@ from .fields import HorizontalField
 from .grid import GridSpec, diff_onesided2, weights3
 
 
-def _check(u: HorizontalField, w: HorizontalField | None = None) -> None:
-    if w is not None and u.data.shape != w.data.shape:
-        raise InputError(f"field shapes differ: {u.data.shape} vs {w.data.shape}")
-
-
 def inner_H(u: HorizontalField, w: HorizontalField) -> float:
-    _check(u, w)
+    if u.data.shape != w.data.shape:
+        raise InputError(f"field shapes differ: {u.data.shape} vs {w.data.shape}")
     vol = weights3(u.grid)
     return float(np.sum((u.u1 * w.u1 + u.u2 * w.u2) * vol))
 
@@ -48,26 +42,32 @@ def _gradient(a: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
             diff_onesided2(a, grid.dz, 2)]
 
 
-def norm_V(v: HorizontalField) -> float:
+def _gradient_sums(v: HorizontalField, kbar: bool) -> tuple[float, float, float]:
+    """The weighted sums of squares behind E2, K^2 and (if ``kbar``, else
+    0) Kbar^2, accumulated term by term in (component, axis) order."""
     vol = weights3(v.grid)
-    s = 0.0
+    sV = sK = sKbar = 0.0
     for comp in (v.u1, v.u2):
-        for g in _gradient(comp, v.grid):
-            s += float(np.sum(g * g * vol))
-    return float(np.sqrt(s))
-
-
-def norm_V_K(v: HorizontalField) -> tuple[float, float]:
-    """norm_V and norm_K from one gradient per component; the sums run in
-    their order, so both equal the separate functions bit for bit."""
-    vol = weights3(v.grid)
-    sV = sK = 0.0
-    for comp in (v.u1, v.u2):
-        terms = [float(np.sum(g * g * vol)) for g in _gradient(comp, v.grid)]
+        grad = _gradient(comp, v.grid)
+        terms = [float(np.sum(g * g * vol)) for g in grad]
         for term in terms:
             sV += term
         sK += terms[2]
+        if kbar:
+            for g in _gradient(grad[2], v.grid):
+                sKbar += float(np.sum(g * g * vol))
+    return sV, sK, sKbar
+
+
+def norm_V_K(v: HorizontalField) -> tuple[float, float]:
+    """The V norm and K, the L2 norm of the z-derivative; the z-stencils
+    are shared, so K <= norm_V holds exactly."""
+    sV, sK, _ = _gradient_sums(v, kbar=False)
     return float(np.sqrt(sV)), float(np.sqrt(sK))
+
+
+def norm_V(v: HorizontalField) -> float:
+    return norm_V_K(v)[0]
 
 
 def norm_L6(v: HorizontalField) -> float:
@@ -76,32 +76,6 @@ def norm_L6(v: HorizontalField) -> float:
     s1, s2 = v.u1 * v.u1, v.u2 * v.u2
     s = float(np.sum((s1 * s1 * s1 + s2 * s2 * s2) * vol))
     return float(max(s, 0.0) ** (1.0 / 6.0))
-
-
-def _dz(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return diff_onesided2(a, grid.dz, 2)
-
-
-def norm_K(v: HorizontalField) -> float:
-    """L2 norm of the z-derivative.  Uses the same stencils as the z-part of
-    norm_V, so K <= norm_V holds exactly for this pair of norms."""
-    vol = weights3(v.grid)
-    s = 0.0
-    for comp in (v.u1, v.u2):
-        g = _dz(comp, v.grid)
-        s += float(np.sum(g * g * vol))
-    return float(np.sqrt(s))
-
-
-def norm_Kbar(v: HorizontalField) -> float:
-    """L2 norm of the full gradient of the z-derivative."""
-    vol = weights3(v.grid)
-    s = 0.0
-    for comp in (v.u1, v.u2):
-        dza = _dz(comp, v.grid)
-        for g in _gradient(dza, v.grid):
-            s += float(np.sum(g * g * vol))
-    return float(np.sqrt(s))
 
 
 @dataclass(frozen=True)
@@ -126,18 +100,9 @@ class NormReport:
 
 
 def norm_report(v: HorizontalField) -> NormReport:
-    """All estimate quantities of one state from one gradient per
-    component; see the module docstring for the bit-for-bit contract."""
-    vol = weights3(v.grid)
-    sV = sK = sKbar = 0.0
-    for comp in (v.u1, v.u2):
-        grad = _gradient(comp, v.grid)
-        terms = [float(np.sum(g * g * vol)) for g in grad]
-        for term in terms:
-            sV += term
-        sK += terms[2]
-        for g in _gradient(grad[2], v.grid):
-            sKbar += float(np.sum(g * g * vol))
+    """All estimate quantities of one state; Kbar is the L2 norm of the
+    full gradient of the z-derivative."""
+    sV, sK, sKbar = _gradient_sums(v, kbar=True)
     return NormReport(
         H2=norm_H(v) ** 2,
         E2=float(np.sqrt(sV)) ** 2,

@@ -11,10 +11,12 @@ The correcting field is the weighted adjoint-gradient of a 2D potential,
 independent of z across the free levels.  The potential solves the Schur
 complement system C W^-1 C^T lam = b, whose matrix on the interior nodes is
 the Kronecker sum (Dx Dx^T (x) I + I (x) Dy Dy^T) / (d1 d2) of 1D centered
-differences.  It is solved by fast diagonalization from per-grid cached
-eigenpairs.  Exactness of the adjoint construction is what delivers
-idempotence, orthogonality, norm contraction, and the constraint residual
-at solver precision.
+differences, the interior blocks of ``grid.diff_matrix("sbp", ...)``.  It
+is solved by fast diagonalization from per-grid cached eigenpairs.
+Exactness of the adjoint construction is what delivers idempotence,
+orthogonality, norm contraction, and the constraint residual at solver
+precision.  The inverse power iteration for the smallest eigenvalue of A
+starts from the lowest mode sum of ``sampling``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ import numpy as np
 
 from .errors import InputError, SolverError
 from .fields import HorizontalField, apply_bc, laplacian3
-from .grid import GridSpec, div2, vertical_integral, weights2, weights3
+from .grid import (GridSpec, diff_matrix, div2, vertical_integral, weights2,
+                   weights3)
 from .linalg import weighted_cg
 from .norms import inner_H, norm_H
+from .sampling import mode_sum
 
 #: default absolute tolerance on the constraint residual of projected fields
 PROJ_TOL = 1e-8
@@ -45,17 +49,12 @@ MAX_OUTER = 200
 # Constraint machinery (cached per grid)
 # ---------------------------------------------------------------------------
 
-def _interior_diff(n: int, d: float) -> np.ndarray:
-    """Dense centered first difference on the n-1 interior nodes of an axis
-    (the fields it acts on vanish on the boundary nodes)."""
-    return (np.eye(n - 1, k=1) - np.eye(n - 1, k=-1)) / (2.0 * d)
-
-
 @functools.lru_cache(maxsize=16)
 def _constraint_ops(grid: GridSpec):
-    """Interior difference matrices Dx, Dy, the eigenvectors Qx, Qy of
-    Dx Dx^T and Dy Dy^T, the inverse Schur eigenvalues inv, and the interior
-    quadrature weights.
+    """Interior difference matrices Dx, Dy (the interior block of the SBP
+    first difference: the fields they act on vanish on the boundary nodes),
+    the eigenvectors Qx, Qy of Dx Dx^T and Dy Dy^T, the inverse Schur
+    eigenvalues inv, and the interior quadrature weights.
 
     Interior trapezoid weights are all d1 d2, so the Schur complement is
     S0 = (Dx Dx^T (x) I + I (x) Dy Dy^T) / (d1 d2) with eigenvalues
@@ -64,8 +63,8 @@ def _constraint_ops(grid: GridSpec):
     of centered differences on a collocated grid.  Its entry of inv is 0:
     every right-hand side b = C g lies in range(C), which is orthogonal to
     null(C^T) = null(S0), so dropping the mode is the exact solve."""
-    Dx = _interior_diff(grid.n1, grid.d1)
-    Dy = _interior_diff(grid.n2, grid.d2)
+    Dx = diff_matrix("sbp", grid.n1, grid.d1)[1:-1, 1:-1].copy()
+    Dy = diff_matrix("sbp", grid.n2, grid.d2)[1:-1, 1:-1].copy()
     lx, Qx = np.linalg.eigh(Dx @ Dx.T)
     ly, Qy = np.linalg.eigh(Dy @ Dy.T)
     lam = lx[:, None] + ly[None, :]
@@ -134,16 +133,6 @@ def apply_A(v: HorizontalField) -> HorizontalField:
     return project_H(HorizontalField(-lap.data, v.grid))
 
 
-def _seed_field(grid: GridSpec) -> HorizontalField:
-    """Deterministic smooth constraint-compatible field used to start the
-    eigenvalue iteration."""
-    from .sampling import stream_function_field
-    x = grid.x()[:, None] / grid.L1
-    y = grid.y()[None, :] / grid.L2
-    psi = np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
-    return stream_function_field(psi, grid)
-
-
 def smallest_eigenvalue_A(grid: GridSpec) -> float:
     """Smallest eigenvalue of A by inverse power iteration; each step is one
     implicit solve with apply_A (weighted CG), iterated until the Rayleigh
@@ -153,7 +142,7 @@ def smallest_eigenvalue_A(grid: GridSpec) -> float:
     def apply_op(data):
         return apply_A(HorizontalField(data, grid)).data
 
-    x = project_H(_seed_field(grid)).data
+    x = project_H(mode_sum(grid, 1, np.ones(1))).data
     x /= np.sqrt(np.sum(vol * x * x))
     rho_old = np.inf
     for _ in range(MAX_OUTER):

@@ -1,14 +1,16 @@
 """Constructing smooth constraint-compatible fields.
 
-Fields built here are perpendicular gradients of a 2D stream function times
-a vertical profile.  Because the perpendicular gradient uses the same
-difference stencils as div2, the horizontal divergence vanishes identically
-at every level (discrete curl-gradient identity), so these fields lie in
-the discrete space H by construction.
+``mode_sum`` is the one construction: a weighted sum of perpendicular
+gradients of 2D stream functions times vertical profiles.  Because the
+perpendicular gradient uses the same difference stencils as div2, the
+horizontal divergence vanishes identically at every level (discrete
+curl-gradient identity), so these fields lie in the discrete space H by
+construction.  Kicks, random initial fields and the seed of the eigenvalue
+iteration are all mode sums.
 
-mode_sum, which draws kicks and random initial fields, caches per grid the
-2D factors of each mode and the vertical profiles, not the 3D mode fields,
-whose memory would grow with the grid volume times the mode count.
+mode_sum caches per grid the 2D factors of each mode and the vertical
+profiles, not the 3D mode fields, whose memory would grow with the grid
+volume times the mode count.
 """
 
 from __future__ import annotations
@@ -19,21 +21,6 @@ import numpy as np
 
 from .fields import HorizontalField, apply_bc
 from .grid import GridSpec, diff_sbp
-
-
-def default_profile(grid: GridSpec) -> np.ndarray:
-    """cos(pi z / (2h)): zero at the bottom, flat at the top."""
-    return np.cos(np.pi * grid.z() / (2.0 * grid.h))
-
-
-def stream_function_field(psi: np.ndarray, grid: GridSpec,
-                          profile: np.ndarray | None = None) -> HorizontalField:
-    """v = (d psi/dy, -d psi/dx) * profile(z), boundary conditions applied."""
-    if profile is None:
-        profile = default_profile(grid)
-    u1 = diff_sbp(psi, grid.d2, 1)[:, :, None] * profile
-    u2 = -diff_sbp(psi, grid.d1, 0)[:, :, None] * profile
-    return apply_bc(HorizontalField.from_components(u1, u2, grid))
 
 
 @functools.lru_cache(maxsize=256)
@@ -69,9 +56,8 @@ def mode_sum(grid: GridSpec, n_modes: int, coeffs: np.ndarray) -> HorizontalFiel
     faces, so the sum lies in H.
 
     Each term is formed in one reused buffer and the Dirichlet faces are
-    zeroed once at the end; the interior sums are those of adding the
-    ``stream_function_field`` terms in order, so the result is bit for bit
-    that sum."""
+    zeroed once at the end; the result is bit for bit the sum of the
+    boundary-cleaned per-mode fields added in order."""
     phis = _z_profiles(grid, n_modes)
     out = HorizontalField.zeros(grid)
     term = np.empty_like(out.data)

@@ -20,7 +20,7 @@ from pe3d.estimates import (check_growth_bound, detect_absorbing,
 from pe3d.fields import HorizontalField, apply_bc
 from pe3d.grid import GridSpec
 from pe3d.kicks import KickConfig, run_chain, wasserstein1
-from pe3d.norms import inner_H, norm_H, norm_V
+from pe3d.norms import inner_H, norm_H, norm_report, norm_V
 from pe3d.projection import (PROJ_TOL, constraint_residual, project_H,
                              smallest_eigenvalue_A)
 from pe3d.sampling import random_smooth_field
@@ -141,10 +141,13 @@ def test_criterion_2_energy_inequality():
         amp = 0.2 + 1.8 * (i / 19.0)
         v = amp * _scaled_ic(GRID24, 200 + i, 1.0)
         state = SimState(t=0.0, v=v)
+        old = norm_report(v)
         for _ in range(5):
-            rec = {}
-            state = step(state, params, record=rec)
-            worst = max(worst, rec["slack"] / rec["H2_old"])
+            state = step(state, params)
+            new = norm_report(state.v)
+            slack = new.H2 + 2.0 * state.dt * params.nu * new.E2 - old.H2
+            worst = max(worst, slack / old.H2)
+            old = new
     per_step_ok = worst <= 1e-6
 
     # (b) cumulative dissipation budget over a T = 2 forced run:

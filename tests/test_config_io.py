@@ -1,5 +1,6 @@
 """Configuration parsing/serialization and CSV schemas."""
 
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -169,6 +170,17 @@ class TestCsvSchemas:
         path.write_text("time,energy\n0,1\n")
         with pytest.raises(InputError, match="header"):
             read_trajectory_csv(path)
+
+    def test_header_only_rejected_without_warning(self, tmp_path):
+        # numpy warns on a file with no data rows; the reader turns it into
+        # an InputError and lets no warning escape
+        path = tmp_path / "empty.csv"
+        path.write_text(TRAJECTORY_HEADER + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InputError, match="7 columns"):
+                read_trajectory_csv(path)
+        assert caught == []
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import raw_field, ref_second_diff
-from pe3d import dynamics
-from pe3d.dynamics import (SimState, SimulationParams, _implicit_diffusion,
-                           _separable_solve, cfl_dt, integrate, nonlinear_B,
-                           solve_S, step)
+from pe3d import dynamics, norms
+from pe3d.dynamics import (SimState, SimulationParams, _derivatives_w3,
+                           _implicit_diffusion, _separable_solve, cfl_dt,
+                           integrate, nonlinear_B, solve_S, step)
 from pe3d.errors import DivergenceError, InputError
-from pe3d.fields import HorizontalField, apply_bc, u3_diagnostic, zero_dirichlet
+from pe3d.fields import HorizontalField, apply_bc, zero_dirichlet
 from pe3d.grid import GridSpec, diff_sbp
 from pe3d.kicks import KickConfig, run_chain
 from pe3d.norms import inner_H, norm_H, norm_V, norm_report
@@ -40,11 +40,18 @@ class TestSimulationParams:
             SimulationParams(**kw)
 
 
+def _B(v_adv, v):
+    """nonlinear_B with its inputs: the vertical velocity of v_adv and the
+    horizontal derivatives of v."""
+    return nonlinear_B(v_adv, v, _derivatives_w3(v_adv)[1],
+                       _derivatives_w3(v)[0])
+
+
 def _reference_B(v_adv, v):
-    """The skew-symmetrized advection with the vertical velocity computed
-    inside, as nonlinear_B does when no w3 is passed."""
+    """The skew-symmetrized advection component by component, each
+    derivative taken on its own."""
     g = v.grid
-    w3 = u3_diagnostic(v_adv)
+    w3 = _derivatives_w3(v_adv)[1]
     a1, a2 = v_adv.u1, v_adv.u2
     out = np.empty_like(v.data)
     for c in range(2):
@@ -63,33 +70,27 @@ class TestNonlinearTerm:
     def test_passed_w3_matches_reference(self, grid12, rng):
         v_adv, v = raw_field(grid12, rng), raw_field(grid12, rng)
         ref = _reference_B(v_adv, v)
-        w3 = u3_diagnostic(v_adv)
-        dv = dynamics._horizontal_derivatives(v)
-        assert nonlinear_B(v_adv, v, w3=w3).data.tobytes() == ref.tobytes()
-        assert nonlinear_B(v_adv, v, w3=w3, dv=dv).data.tobytes() == ref.tobytes()
-        assert nonlinear_B(v_adv, v).data.tobytes() == ref.tobytes()
+        assert _B(v_adv, v).data.tobytes() == ref.tobytes()
 
     def test_energy_neutrality(self, smooth8):
         # the skew-symmetrized form pairs to zero against the state itself
-        B = nonlinear_B(smooth8, smooth8)
+        B = _B(smooth8, smooth8)
         scale = norm_H(smooth8) ** 2 * max(norm_V(smooth8), 1.0)
         assert abs(inner_H(B, smooth8)) < 1e-12 * max(scale, 1.0)
 
     def test_bilinearity_in_second_argument(self, smooth8):
         w = project_H(random_smooth_field(np.random.default_rng(8), smooth8.grid))
-        lhs = nonlinear_B(smooth8, smooth8 + 2.0 * w)
-        rhs = (nonlinear_B(smooth8, smooth8)
-               + 2.0 * nonlinear_B(smooth8, w))
+        lhs = _B(smooth8, smooth8 + 2.0 * w)
+        rhs = _B(smooth8, smooth8) + 2.0 * _B(smooth8, w)
         assert np.allclose(lhs.data, rhs.data, atol=1e-12)
 
     def test_zero_state_maps_to_zero(self, grid8):
         z = HorizontalField.zeros(grid8)
-        assert np.all(nonlinear_B(z, z).data == 0.0)
+        assert np.all(_B(z, z).data == 0.0)
 
     def test_shape_mismatch(self, grid8, grid12, rng):
         with pytest.raises(InputError):
-            nonlinear_B(HorizontalField.zeros(grid8),
-                        HorizontalField.zeros(grid12))
+            _B(HorizontalField.zeros(grid8), HorizontalField.zeros(grid12))
 
 
 def _dense_system(grid, dt_nu, w):
@@ -171,23 +172,26 @@ class TestStepper:
     def test_cfl_dt_caps_and_scales(self, smooth8):
         params = SimulationParams(dt_max=0.5, cfl=0.4)
         z = HorizontalField.zeros(smooth8.grid)
-        assert cfl_dt(z, params) == 0.5
+        assert cfl_dt(z, params, _derivatives_w3(z)[1]) == 0.5
         big = 1e6 * smooth8
-        assert cfl_dt(big, params) < 1e-4
+        assert cfl_dt(big, params, _derivatives_w3(big)[1]) < 1e-4
 
     def test_energy_budget_slack_nonpositive(self, smooth8):
         # backward-Euler dissipation gives the inequality a strict margin
         params = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4)
         state = SimState(t=0.0, v=smooth8)
         for _ in range(5):
-            rec = {}
-            state = step(state, params, record=rec)
-            assert rec["slack"] <= 1e-12 * rec["H2_old"]
+            H2_old = norm_H(state.v) ** 2
+            state = step(state, params)
+            rep = norm_report(state.v)
+            slack = rep.H2 + 2.0 * state.dt * params.nu * rep.E2 - H2_old
+            assert slack <= 1e-12 * H2_old
 
     def test_step_evaluates_u3_once(self, monkeypatch):
         # cfl_dt and nonlinear_B share one vertical velocity, built from the
-        # step's own x- and y-derivatives; it is u3_diagnostic's, and the
-        # advection is that of nonlinear_B called alone, byte for byte
+        # step's own x- and y-derivatives by _derivatives_w3 (its oracle is
+        # in test_fields), and the advection is that of nonlinear_B called
+        # alone, byte for byte
         seen = []
 
         def spy(name):
@@ -207,8 +211,8 @@ class TestStepper:
             step(SimState(t=0.0, v=v), SimulationParams(nu=1.0, dt_max=0.01))
             (cfl_args, _, _), (_, b_kw, B) = seen
             assert cfl_args[2] is b_kw["w3"]
-            assert b_kw["w3"].tobytes() == u3_diagnostic(v).tobytes()
-            assert B.data.tobytes() == nonlinear_B(v, v).data.tobytes()
+            assert b_kw["w3"].tobytes() == _derivatives_w3(v)[1].tobytes()
+            assert B.data.tobytes() == _B(v, v).data.tobytes()
 
     def test_dt_cap_landing(self, smooth8):
         params = SimulationParams(dt_max=0.01, cfl=1.0)
@@ -276,13 +280,15 @@ print(state.step_count, hashlib.sha256(state.v.data.tobytes()).hexdigest())
 
 class TestIntegrate:
     def test_solve_S_computes_no_norm_report(self, smooth8, monkeypatch):
+        # every V, K and Kbar sum goes through norms._gradient_sums
         calls = []
+        sums = norms._gradient_sums
 
-        def counting(v):
+        def counting(v, kbar):
             calls.append(1)
-            return norm_report(v)
+            return sums(v, kbar)
 
-        monkeypatch.setattr(dynamics, "norm_report", counting)
+        monkeypatch.setattr(norms, "_gradient_sums", counting)
         solve_S(smooth8, 0.05, SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4))
         assert calls == []
 
@@ -290,14 +296,14 @@ class TestIntegrate:
         params = SimulationParams(nu=1.0, dt_max=0.007, cfl=0.4)
         seen = []
 
-        def on_step(before, after, record):
+        def on_step(before, after):
             assert after.step_count == before.step_count + 1
-            assert after.t == before.t + record["dt"]
-            seen.append(record)
+            assert after.t == before.t + after.dt
+            seen.append(after.dt)
 
         state = integrate(smooth8, 0.05, params, on_step=on_step)
         assert len(seen) == state.step_count > 1
-        assert all(set(r) == {"dt", "report", "H2_old", "slack"} for r in seen)
+        assert all(0.0 < dt <= params.dt_max for dt in seen)
         assert state.t == pytest.approx(0.05, rel=1e-14)
         # the recorded steps are the steps of the unrecorded run
         assert np.array_equal(state.v.data, solve_S(smooth8, 0.05, params).data)

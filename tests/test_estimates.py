@@ -6,18 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from pe3d import dynamics, estimates
-from pe3d.dynamics import SimState, SimulationParams, step
+from pe3d import estimates
+from pe3d.dynamics import SimulationParams, integrate
 from pe3d.errors import InputError
 from pe3d.estimates import (AbsorbReport, GrowthParams, TrajectoryDiagnostics,
                             check_growth_bound, continuity_probe,
                             detect_absorbing, eta_partition,
                             fit_growth_constant, gamma, measure_decay_time,
                             record_trajectory)
-from pe3d.fields import HorizontalField, apply_bc
+from pe3d.fields import HorizontalField
 from pe3d.grid import GridSpec
 from pe3d.norms import norm_report, norm_V
-from pe3d.projection import project_H
 from pe3d.sampling import random_smooth_field
 
 
@@ -189,15 +188,35 @@ class TestRecordedTrajectories:
         assert np.all(np.diff(diag.E2) <= 0.0)  # unforced flow decays
         assert final.is_finite()
 
-    def test_step_record_holds_the_new_state_report(self):
+    def test_budget_slack_sums_its_steps(self):
+        # each sample's slack is the sum, over the steps since the previous
+        # sample, of H2(n+1) + 2 dt nu E2(n+1) - H2(n), and each sample
+        # holds the norm report of the state at its time
         grid = GridSpec(n1=6, n2=6, nz=6)
-        v0 = apply_bc(project_H(random_smooth_field(np.random.default_rng(2), grid)))
-        params = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4)
-        rec: dict = {}
-        new = step(SimState(t=0.0, v=v0), params, record=rec)
-        assert rec["report"] == norm_report(new.v)
-        assert rec["slack"] == (rec["report"].H2 + 2.0 * rec["dt"] * rec["report"].E2
-                                - rec["H2_old"])
+        v0 = random_smooth_field(np.random.default_rng(2), grid)
+        params = SimulationParams(nu=0.7, dt_max=0.01, cfl=0.4, t_end=0.05)
+        steps = []    # (t, norm report, slack) of every step's new state
+
+        def on_step(before, after):
+            old, new = norm_report(before.v), norm_report(after.v)
+            steps.append((after.t, new, new.H2 + 2.0 * after.dt * params.nu
+                          * new.E2 - old.H2))
+
+        integrate(v0, params.t_end, params, on_step=on_step)
+        assert len(steps) == 5
+        for record_every in (1, 3):
+            diag, _ = record_trajectory(v0, params, record_every=record_every)
+            k = 1
+            acc = 0.0
+            for t, report, slack in steps:
+                acc += slack
+                if t == diag.t[k]:
+                    assert diag.slack[k] == acc
+                    assert (diag.H2[k], diag.E2[k], diag.K[k]) == (
+                        report.H2, report.E2, report.K)
+                    k, acc = k + 1, 0.0
+            assert k == len(diag) == 1 + -(-len(steps) // record_every)
+            assert diag.slack[0] == 0.0
 
     def test_one_norm_report_per_recorded_state(self, monkeypatch):
         calls = []
@@ -206,7 +225,6 @@ class TestRecordedTrajectories:
             calls.append(1)
             return norm_report(v)
 
-        monkeypatch.setattr(dynamics, "norm_report", counting)
         monkeypatch.setattr(estimates, "norm_report", counting)
         grid = GridSpec(n1=6, n2=6, nz=6)
         v0 = random_smooth_field(np.random.default_rng(1), grid)

@@ -1,17 +1,35 @@
-"""HorizontalField mechanics, boundary conditions, diagnostics, and the
-smooth-field sampler."""
+"""HorizontalField mechanics, boundary conditions, the diagnostic vertical
+velocity, and the smooth-field sampler."""
 
 import numpy as np
 import pytest
 
-from conftest import raw_field
+from conftest import raw_field, ref_sbp
+from pe3d.dynamics import _derivatives_w3
 from pe3d.errors import InputError
-from pe3d.fields import (HorizontalField, apply_bc, bc_residual,
-                         u3_diagnostic, zero_dirichlet)
-from pe3d.grid import GridSpec
-from pe3d.projection import constraint_residual
-from pe3d.sampling import (mode_sum, random_smooth_field,
-                           stream_function_field)
+from pe3d.fields import HorizontalField, apply_bc, bc_residual, zero_dirichlet
+from pe3d.grid import GridSpec, diff_sbp, div2
+from pe3d.projection import constraint_residual, project_H
+from pe3d.sampling import mode_sum, random_smooth_field
+
+
+def _stream_function_field(psi, grid, profile):
+    """v = (d psi/dy, -d psi/dx) * profile(z), boundary conditions applied:
+    one mode of the sampler, built on its own."""
+    u1 = diff_sbp(psi, grid.d2, 1)[:, :, None] * profile
+    u2 = -diff_sbp(psi, grid.d1, 0)[:, :, None] * profile
+    return apply_bc(HorizontalField(np.stack([u1, u2]), grid))
+
+
+def _cumulative_trapezoid(f, dz):
+    """int_{-h}^{z_k} f along the last axis, from the bottom node."""
+    out = np.zeros_like(f)
+    out[:, :, 1:] = np.cumsum(0.5 * dz * (f[:, :, 1:] + f[:, :, :-1]), axis=2)
+    return out
+
+
+def _u3(v):
+    return _derivatives_w3(v)[1]
 
 
 class TestHorizontalField:
@@ -91,8 +109,26 @@ class TestBoundaryConditions:
 class TestU3Diagnostic:
     def test_zero_at_bottom(self, grid12, rng):
         v = apply_bc(raw_field(grid12, rng))
-        u3 = u3_diagnostic(v)
+        u3 = _u3(v)
         assert np.abs(u3[:, :, 0]).max() == 0.0
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(n1=12, n2=12, nz=12),
+        GridSpec(L1=2.0, L2=0.7, h=1.3, n1=24, n2=20, nz=12)],
+        ids=["12^3", "24x20x12"])
+    def test_matches_cumulative_trapezoid_of_div2(self, grid):
+        # the step's w3, from its 4D x- and y-derivatives, is the
+        # cumulative trapezoid of -div2 byte for byte; the moveaxis
+        # reference stencils divide by 2d where the cached matrices
+        # multiply by 1/(2d), so against them it agrees to rounding
+        for v in (project_H(random_smooth_field(np.random.default_rng(3), grid)),
+                  apply_bc(raw_field(grid, np.random.default_rng(4)))):
+            got = _u3(v)
+            div = div2(v.u1, v.u2, grid)
+            assert got.tobytes() == (-_cumulative_trapezoid(div, grid.dz)).tobytes()
+            div = ref_sbp(v.u1, grid.d1, 0) + ref_sbp(v.u2, grid.d2, 1)
+            ref = -_cumulative_trapezoid(div, grid.dz)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_zero_for_stream_function_fields(self, grid12, rng):
         # level-by-level divergence-free fields carry no vertical velocity
@@ -102,14 +138,15 @@ class TestU3Diagnostic:
         y = grid12.y()[None, :] / grid12.L2
         psi = (np.sin(np.pi * x) ** 2 * np.sin(2.0 * np.pi * y) ** 2
                + 0.3 * np.sin(2.0 * np.pi * x) ** 2 * np.sin(np.pi * y) ** 2)
-        v = stream_function_field(psi, grid12)
-        assert np.abs(u3_diagnostic(v)[1:-1, 1:-1, :]).max() < 1e-12
+        v = _stream_function_field(psi, grid12,
+                                   np.cos(np.pi * grid12.z() / (2.0 * grid12.h)))
+        assert np.abs(_u3(v)[1:-1, 1:-1, :]).max() < 1e-12
 
     def test_top_value_vanishes_for_fields_in_H(self, grid12, rng):
         # u3(top) = -div2(vertical integral), which the projection kills
         v = random_smooth_field(rng, grid12)
         assert constraint_residual(v) < 1e-10
-        top = u3_diagnostic(v)[1:-1, 1:-1, -1]
+        top = _u3(v)[1:-1, 1:-1, -1]
         assert np.abs(top).max() < 1e-10
 
     def test_analytic_oracle_with_refinement(self):
@@ -120,11 +157,11 @@ class TestU3Diagnostic:
             grid = GridSpec(n1=n, n2=n, nz=n)
             X, _, Z = grid.meshgrid()
             g = np.cos(np.pi * Z / 2.0)
-            v = HorizontalField.from_components(np.sin(np.pi * X) * g,
-                                                np.zeros(grid.shape), grid)
+            v = HorizontalField(np.stack([np.sin(np.pi * X) * g,
+                                          np.zeros(grid.shape)]), grid)
             G = (2.0 / np.pi) * (np.sin(np.pi * Z / 2.0) + 1.0)
             exact = -np.pi * np.cos(np.pi * X) * G
-            got = u3_diagnostic(v)
+            got = _u3(v)
             return np.abs((got - exact)[2:-2, :, :]).max()
 
         e1, e2 = err(8), err(16)
@@ -134,7 +171,7 @@ class TestU3Diagnostic:
 class TestSampling:
     @staticmethod
     def _per_mode_reference(grid, n_modes, next_coeff):
-        """The mode sum as one stream_function_field per (m, n, k) term,
+        """The mode sum as one _stream_function_field per (m, n, k) term,
         each boundary-cleaned and added; next_coeff() gives each term's
         coefficient in row-major (m, n, k) order."""
         x = grid.x()[:, None] / grid.L1
@@ -146,7 +183,7 @@ class TestSampling:
                 for k in range(n_modes):
                     phi = np.cos((k + 0.5) * np.pi * grid.z() / grid.h)
                     w = 1.0 / (1.0 + m * m + n * n + k * k) ** 2
-                    out = out + (w * next_coeff()) * stream_function_field(
+                    out = out + (w * next_coeff()) * _stream_function_field(
                         psi, grid, phi)
         return apply_bc(out)
 
