@@ -10,7 +10,7 @@ Submodules:
     dynamics     nonlinear term, IMEX stepper, the integration loop, S(t)
     verification manufactured-solution convergence ladders
     estimates    growth control, absorbing ball, decay times, continuity
-    kicks        kick-forced Markov chain and empirical measures
+    kicks        kick-forced Markov chain and Wasserstein distance
     config       run configuration parsing/serialization
     experiments  experiment drivers
     cli          command-line entry point

@@ -15,7 +15,7 @@ data, and tracked for stability across refinements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,9 @@ from .norms import norm_report, norm_V
 @dataclass
 class TrajectoryDiagnostics:
     """Time-stamped series of the estimate quantities plus per-step energy
-    budget slack (slack at sample k covers the step landing on t[k])."""
+    budget slack (the slack at sample k covers the steps landing on t[k]
+    since the previous sample).  The fields are the trajectory CSV's
+    columns, in order."""
 
     t: np.ndarray
     H2: np.ndarray
@@ -40,18 +42,18 @@ class TrajectoryDiagnostics:
     J: np.ndarray
     K: np.ndarray
     Kbar: np.ndarray
-    slack: np.ndarray
+    budget_slack: np.ndarray
 
     def __post_init__(self):
         n = len(self.t)
-        for name in ("H2", "E2", "J", "K", "Kbar", "slack"):
-            if len(getattr(self, name)) != n:
-                raise InputError(f"TrajectoryDiagnostics: {name} length mismatch")
+        for f in fields(self):
+            col = getattr(self, f.name)
+            if len(col) != n:
+                raise InputError(f"TrajectoryDiagnostics: {f.name} length mismatch")
+            if not np.isfinite(col).all():
+                raise InputError("TrajectoryDiagnostics: non-finite entries")
         if n and not np.all(np.diff(self.t) > 0):
             raise InputError("TrajectoryDiagnostics: timestamps must strictly increase")
-        cols = np.stack([self.t, self.H2, self.E2, self.J, self.K, self.Kbar, self.slack])
-        if not np.isfinite(cols).all():
-            raise InputError("TrajectoryDiagnostics: non-finite entries")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -84,17 +86,8 @@ def record_trajectory(v0: HorizontalField, params: SimulationParams,
     state = integrate(v0, params.t_end, params, forcing_at, on_step)
     if not samples:
         samples.append((0.0, norm_report(state.v), 0.0))
-    ts, rows, slacks = zip(*samples)
-    diag = TrajectoryDiagnostics(
-        t=np.array(ts),
-        H2=np.array([r.H2 for r in rows]),
-        E2=np.array([r.E2 for r in rows]),
-        J=np.array([r.J for r in rows]),
-        K=np.array([r.K for r in rows]),
-        Kbar=np.array([r.Kbar for r in rows]),
-        slack=np.array(slacks),
-    )
-    return diag, state.v
+    rows = [(t, *astuple(report), slack) for t, report, slack in samples]
+    return TrajectoryDiagnostics(*(np.array(col) for col in zip(*rows))), state.v
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .estimates import (TrajectoryDiagnostics, check_growth_bound,
                         record_trajectory)
 from .fields import HorizontalField
 from .grid import GridSpec
-from .kicks import run_chain, wasserstein1
+from .kicks import ChainTrace, run_chain, wasserstein1
 from .norms import norm_H, norm_V
 from .sampling import random_smooth_field
 from .verification import verify_manufactured
@@ -48,8 +48,12 @@ class ExperimentFailure(Exception):
 # CSV persistence (17 significant digits, lossless f64 round-trip)
 # ---------------------------------------------------------------------------
 
-TRAJECTORY_HEADER = "t,H2,E2,J,K,Kbar,budget_slack"
-CHAIN_HEADER = "n,H2,E2,J,K,kick_V2,rescaled"
+def _header(record_type) -> str:
+    return ",".join(f.name for f in fields(record_type))
+
+
+TRAJECTORY_HEADER = _header(TrajectoryDiagnostics)
+CHAIN_HEADER = _header(ChainTrace)
 
 
 def _write_atomic(path, write) -> None:
@@ -67,16 +71,18 @@ def _write_atomic(path, write) -> None:
         raise
 
 
-def _write_csv(path, header: str, cols, fmt) -> None:
+def _write_csv(path, record) -> None:
+    """One column per field of the dataclass ``record``, headed by the field
+    names; integer and boolean columns print with %d, the rest with %.17g."""
+    cols = [np.asarray(getattr(record, f.name)) for f in fields(record)]
+    fmt = ["%d" if c.dtype.kind in "biu" else "%.17g" for c in cols]
     _write_atomic(path, lambda fh: np.savetxt(
-        fh, np.column_stack(cols), fmt=fmt, delimiter=",", header=header,
-        comments=""))
+        fh, np.column_stack(cols), fmt=fmt, delimiter=",",
+        header=_header(record), comments=""))
 
 
 def write_trajectory_csv(path, diag: TrajectoryDiagnostics) -> None:
-    _write_csv(path, TRAJECTORY_HEADER,
-               (diag.t, diag.H2, diag.E2, diag.J, diag.K, diag.Kbar,
-                diag.slack), "%.17g")
+    _write_csv(path, diag)
 
 
 def read_trajectory_csv(path) -> TrajectoryDiagnostics:
@@ -90,17 +96,14 @@ def read_trajectory_csv(path) -> TrajectoryDiagnostics:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as e:
             raise InputError(f"{path}: {e}")
-    if data.shape[1] != 7:
-        raise InputError(f"{path}: expected 7 columns")
-    return TrajectoryDiagnostics(t=data[:, 0], H2=data[:, 1], E2=data[:, 2],
-                                 J=data[:, 3], K=data[:, 4], Kbar=data[:, 5],
-                                 slack=data[:, 6])
+    width = len(fields(TrajectoryDiagnostics))
+    if data.shape[1] != width:
+        raise InputError(f"{path}: expected {width} columns")
+    return TrajectoryDiagnostics(*data.T)
 
 
-def write_chain_csv(path, trace) -> None:
-    _write_csv(path, CHAIN_HEADER,
-               (trace.n, trace.H2, trace.E2, trace.J, trace.K, trace.kick_V2,
-                trace.rescaled), ["%d"] + ["%.17g"] * 5 + ["%d"])
+def write_chain_csv(path, trace: ChainTrace) -> None:
+    _write_csv(path, trace)
 
 
 def _write_json(path, obj) -> None:
@@ -146,7 +149,7 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
     if ignored:
         raise InputError("verify reads only sim.nu from the config; remove "
                          + ", ".join(ignored))
-    rep = verify_manufactured(cfg.sim)
+    rep = verify_manufactured(cfg.sim.nu)
     report = asdict(rep)
     _write_json(outdir / "convergence.json", report)
     if rep.spatial_order < 1.8:
@@ -183,8 +186,7 @@ def run_absorb(cfg: RunConfig, outdir: Path) -> dict:
         write_trajectory_csv(outdir / f"absorb_{i}.csv", diag)
         diags.append(diag)
     rep = detect_absorbing(diags, window=cfg.exp.window_frac * cfg.sim.t_end)
-    report = {"K_ball": rep.K_ball, "T_V": rep.T_V, "stayed": rep.stayed,
-              "inconclusive": rep.inconclusive, "f_H2": cfg.exp.f_H2}
+    report = {**asdict(rep), "f_H2": cfg.exp.f_H2}
     if not all(rep.stayed):
         raise ExperimentFailure(f"trajectories left the ball: stayed={rep.stayed}")
     if any(rep.inconclusive):
@@ -201,18 +203,25 @@ T_V_SAFETY = 2.0
 def measure_T_V(cfg: RunConfig) -> tuple[float, list[float]]:
     """The Theorem-3 inter-kick time: run T_V_PROBES unforced trajectories
     from |v0|_V^2 = 4R down to eps = R, take the worst decay time, and apply
-    T_V_SAFETY (floored at 0.01 so the operator always advances)."""
+    T_V_SAFETY (floored at 0.01 so the operator always advances).  The
+    probes write no CSV, so they record every step whatever record_every
+    says."""
     R = cfg.kick.R
     times = []
     for i in range(T_V_PROBES):
         v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 5000 + i, 4.0 * R)
-        diag, _ = record_trajectory(v0, cfg.sim, cfg.record_every)
+        diag, _ = record_trajectory(v0, cfg.sim)
         T = measure_decay_time(diag, R) if R > 0 else 0.0
         if T is None:
             raise ExperimentFailure(
                 f"T_V(4R, R) not reached within t_end={cfg.sim.t_end}")
         times.append(T)
     return max(T_V_SAFETY * max(times), 0.01), times
+
+
+#: run_kicks cuts each chain's post-burn-in E2 samples into this many
+#: equal windows and reports the W1 distances of consecutive windows
+N_WINDOWS = 5
 
 
 def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
@@ -222,24 +231,26 @@ def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
     else:
         T, probe_times = measure_T_V(cfg)
     kc = replace(cfg.kick, T=T)
-    results = []
+    traces = []
     for k in range(cfg.exp.n_chains):
         v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 100 + k, R)
-        trace, pooled, windows = run_chain(kc, cfg.sim, v0, chain_index=k)
-        write_chain_csv(outdir / f"chain_{k}.csv", trace)
-        _write_json(outdir / f"measure_{k}.json", pooled.to_dict())
-        series = [wasserstein1(a, b) for a, b in zip(windows, windows[1:])]
-        results.append((trace, pooled, series))
-    max_E2 = max(float(tr.E2.max()) for tr, _, _ in results)
-    pooled_E2 = [p.samples["E2"] for _, p, _ in results]
+        traces.append(run_chain(kc, cfg.sim, v0, chain_index=k))
+        write_chain_csv(outdir / f"chain_{k}.csv", traces[-1])
+    # each chain's post-burn-in E2 samples, cut into N_WINDOWS equal windows
+    pooled_E2 = [tr.E2[cfg.kick.burn_in:] for tr in traces]
+    width = len(pooled_E2[0]) // N_WINDOWS
+    starts = [i * width for i in range(N_WINDOWS)] if width else []
+    series = [[wasserstein1(E2[a:a + width], E2[b:b + width])
+               for a, b in zip(starts, starts[1:])] for E2 in pooled_E2]
+    max_E2 = max(float(tr.E2.max()) for tr in traces)
     report = {
         "T": T, "T_probe_times": probe_times, "R": R,
         "n_chains": cfg.exp.n_chains, "N": cfg.kick.N,
         "burn_in": cfg.kick.burn_in,
         "max_E2": max_E2, "bound_4R": 4.0 * R,
-        "window_wasserstein_E2": [s for _, _, s in results],
+        "window_wasserstein_E2": series,
         "rescale_fraction": float(np.mean(
-            [tr.rescaled.mean() for tr, _, _ in results])),
+            [tr.rescaled.mean() for tr in traces])),
     }
     if cfg.exp.n_chains >= 2:
         half = cfg.exp.n_chains // 2

@@ -1,14 +1,14 @@
-"""Kick-forced Markov chain and empirical invariant-measure estimation.
+"""Kick-forced Markov chain.
 
 The chain is X_n = S(T)[X_{n-1}] + xi_n with i.i.d. kicks drawn from a
 stream-function construction that satisfies the boundary conditions and
 the divergence constraint analytically, then rescaled so the squared
 Laplacian norm stays below the bound R (and, as a safeguard, the squared
 V-norm too); a draw records its V-norm and whether either rescaling fired.
-Empirical measures are pooled histograms of observable pushforwards (time
-averages in the sense of Krylov-Bogolyubov); their convergence proxy is the
-1-Wasserstein distance between the E2 samples of consecutive windows of a
-chain (``wasserstein1``), which ``run_chain`` returns as plain arrays.
+``run_chain`` returns the chain's trace, one row per step.  Its post-burn-in
+rows are the samples of the empirical invariant measure (time averages in
+the sense of Krylov-Bogolyubov); ``wasserstein1`` measures the distance
+between two such sample sets.
 
 RNG: numpy PCG64 seeded through SeedSequence((seed, chain_index)), which
 is documented platform-stable.
@@ -17,7 +17,7 @@ is documented platform-stable.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +28,6 @@ from .grid import GridSpec, weights3
 from .norms import norm_H, norm_L6, norm_V, norm_V_K
 from .projection import project_H
 from .sampling import mode_sum
-
-OBSERVABLES = ("H2", "E2", "J", "K")
-
-#: run_chain splits the post-burn-in samples into this many equal windows
-N_WINDOWS = 5
 
 
 @dataclass(frozen=True)
@@ -56,13 +51,6 @@ class KickConfig:
             raise InputError("kick.burn_in must satisfy 0 <= burn_in < N")
         if self.n_modes < 1:
             raise InputError("kick.n_modes must be >= 1")
-
-
-@dataclass
-class ChainState:
-    n: int
-    X: HorizontalField
-    rng: np.random.Generator
 
 
 @dataclass
@@ -116,18 +104,20 @@ def chain_rng(config: KickConfig, chain_index: int = 0) -> np.random.Generator:
         np.random.SeedSequence((config.seed, chain_index))))
 
 
-def chain_step(state: ChainState, config: KickConfig,
-               params: SimulationParams) -> tuple[ChainState, KickDraw]:
+def chain_step(X: HorizontalField, rng: np.random.Generator, config: KickConfig,
+               params: SimulationParams) -> tuple[HorizontalField, KickDraw]:
     """X <- project(S(T)[X] + xi); the projection is a no-op up to tolerance
     since both summands lie in the discrete space H."""
-    flowed = solve_S(state.X, config.T, params)
-    draw = draw_kick(state.rng, state.X.grid, config)
-    X = project_H(flowed + draw.xi)
-    return ChainState(n=state.n + 1, X=X, rng=state.rng), draw
+    flowed = solve_S(X, config.T, params)
+    draw = draw_kick(rng, X.grid, config)
+    return project_H(flowed + draw.xi), draw
 
 
 @dataclass
 class ChainTrace:
+    """Row n of the chain: the observables of X_n and the kick that made it.
+    The fields are the chain CSV's columns, in order."""
+
     n: np.ndarray
     H2: np.ndarray
     E2: np.ndarray
@@ -137,57 +127,21 @@ class ChainTrace:
     rescaled: np.ndarray
 
 
-@dataclass
-class EmpiricalMeasure:
-    """Pooled per-observable samples with histogram summaries."""
-
-    samples: dict[str, np.ndarray]
-    edges: dict[str, np.ndarray] = field(init=False, default_factory=dict)
-    counts: dict[str, np.ndarray] = field(init=False, default_factory=dict)
-
-    def __post_init__(self):
-        for name, s in self.samples.items():
-            self.counts[name], self.edges[name] = np.histogram(s, bins=24)
-
-    def to_dict(self) -> dict:
-        return {name: {"edges": self.edges[name].tolist(),
-                       "counts": self.counts[name].tolist(),
-                       "samples": self.samples[name].tolist()}
-                for name in self.samples}
-
-
-def _observe(v: HorizontalField) -> tuple[float, float, float, float]:
-    E, K = norm_V_K(v)
-    return norm_H(v) ** 2, E ** 2, norm_L6(v), K
-
-
 def run_chain(config: KickConfig, params: SimulationParams,
-              v0: HorizontalField, chain_index: int = 0
-              ) -> tuple[ChainTrace, EmpiricalMeasure, list[np.ndarray]]:
-    """Iterate the chain N times; pool post-burn-in observable samples into
-    an EmpiricalMeasure, and split the post-burn-in E2 samples into
-    N_WINDOWS equal-width windows for convergence diagnostics."""
+              v0: HorizontalField, chain_index: int = 0) -> ChainTrace:
+    """Iterate the chain N times from project_H(v0) and record rows
+    n = 1..N."""
     if config.T <= 0:
         raise InputError("run_chain: inter-kick time T must be positive "
                          "(T = 0 in a config means: measure T_V first)")
-    state = ChainState(n=0, X=project_H(v0), rng=chain_rng(config, chain_index))
+    X, rng = project_H(v0), chain_rng(config, chain_index)
     rows = []
-    for _ in range(config.N):
-        state, draw = chain_step(state, config, params)
-        H2, E2, J, K = _observe(state.X)
-        rows.append((state.n, H2, E2, J, K, draw.V2,
-                     1.0 if draw.rescaled else 0.0))
-    arr = np.array(rows)
-    trace = ChainTrace(n=arr[:, 0].astype(int), H2=arr[:, 1], E2=arr[:, 2],
-                       J=arr[:, 3], K=arr[:, 4], kick_V2=arr[:, 5],
-                       rescaled=arr[:, 6].astype(bool))
-    post = arr[config.burn_in:, :]
-    pooled = EmpiricalMeasure(samples={
-        name: post[:, i + 1].copy() for i, name in enumerate(OBSERVABLES)})
-    E2 = pooled.samples["E2"]
-    width = len(E2) // N_WINDOWS
-    windows = [E2[k * width:(k + 1) * width] for k in range(N_WINDOWS)] if width else []
-    return trace, pooled, windows
+    for n in range(1, config.N + 1):
+        X, draw = chain_step(X, rng, config, params)
+        E, K = norm_V_K(X)
+        rows.append((n, norm_H(X) ** 2, E ** 2, norm_L6(X), K, draw.V2,
+                     draw.rescaled))
+    return ChainTrace(*(np.array(col) for col in zip(*rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,7 @@ def mode_sum(grid: GridSpec, n_modes: int, coeffs: np.ndarray) -> HorizontalFiel
     return apply_bc(out)
 
 
-def random_smooth_field(rng: np.random.Generator, grid: GridSpec,
-                        n_modes: int = 3) -> HorizontalField:
-    """Random smooth field in the discrete space H: the mode sum with
+def random_smooth_field(rng: np.random.Generator, grid: GridSpec) -> HorizontalField:
+    """Random smooth field in the discrete space H: the three-mode sum with
     uniform(-1, 1) coefficients."""
-    return mode_sum(grid, n_modes, rng.uniform(-1.0, 1.0, size=n_modes ** 3))
+    return mode_sum(grid, 3, rng.uniform(-1.0, 1.0, size=27))

@@ -25,7 +25,7 @@ def _diag(t, E2, **kw):
     E2 = np.asarray(E2, dtype=float)
     z = np.zeros_like(t)
     return TrajectoryDiagnostics(t=t, H2=kw.get("H2", z), E2=E2, J=z, K=z,
-                                 Kbar=z, slack=z)
+                                 Kbar=z, budget_slack=z)
 
 
 def _brute_force_partition(t, E2, eta):
@@ -59,7 +59,7 @@ class TestTrajectoryDiagnostics:
         with pytest.raises(InputError):
             TrajectoryDiagnostics(t=np.zeros(3), H2=np.zeros(2),
                                   E2=np.zeros(3), J=np.zeros(3), K=np.zeros(3),
-                                  Kbar=np.zeros(3), slack=np.zeros(3))
+                                  Kbar=np.zeros(3), budget_slack=np.zeros(3))
 
 
 class TestGamma:
@@ -211,12 +211,12 @@ class TestRecordedTrajectories:
             for t, report, slack in steps:
                 acc += slack
                 if t == diag.t[k]:
-                    assert diag.slack[k] == acc
+                    assert diag.budget_slack[k] == acc
                     assert (diag.H2[k], diag.E2[k], diag.K[k]) == (
                         report.H2, report.E2, report.K)
                     k, acc = k + 1, 0.0
             assert k == len(diag) == 1 + -(-len(steps) // record_every)
-            assert diag.slack[0] == 0.0
+            assert diag.budget_slack[0] == 0.0
 
     def test_one_norm_report_per_recorded_state(self, monkeypatch):
         calls = []

@@ -9,7 +9,9 @@ from pe3d.cli import main
 from pe3d.config import parse_config
 from pe3d import experiments
 from pe3d.errors import DivergenceError, InputError
-from pe3d.experiments import TRAJECTORY_HEADER, run_experiment
+from pe3d.experiments import (CHAIN_HEADER, N_WINDOWS, TRAJECTORY_HEADER,
+                              measure_T_V, run_experiment)
+from pe3d.kicks import wasserstein1
 
 
 TINY = """
@@ -144,20 +146,52 @@ class TestProbeDriver:
         assert rep["spread"] <= 3.0
 
 
-class TestKicksDriver:
-    def test_small_chain_run(self, tmp_path):
-        text = TINY.replace("experiment = decay", "experiment = kicks") + """
+KICKS = TINY.replace("experiment = decay", "experiment = kicks").replace(
+    "n_ic = 2", "n_ic = 2\nn_chains = 2") + """
 [kick]
 R = 0.25
-N = 6
-burn_in = 1
 """
-        cfg = _cfg(text.replace("n_ic = 2", "n_ic = 2\nn_chains = 2"))
+
+
+class TestKicksDriver:
+    def test_small_chain_run(self, tmp_path):
+        cfg = _cfg(KICKS + "N = 6\nburn_in = 1\n")
         assert run_experiment(cfg, output=str(tmp_path)) == 0
         rep = json.loads((tmp_path / "kicks_report.json").read_text())
         assert rep["max_E2"] <= rep["bound_4R"] * (1 + 1e-6)
         assert (tmp_path / "chain_0.csv").exists()
-        assert (tmp_path / "measure_1.json").exists()
+        assert (tmp_path / "chain_1.csv").exists()
+
+    def test_wasserstein_series_recomputed_from_chain_csvs(self, tmp_path):
+        # the report's W1 series come from the chain CSVs' post-burn-in E2
+        # rows alone, and the run writes no other per-chain artifact
+        N, burn_in = 13, 2
+        cfg = _cfg(KICKS + f"T = 0.02\nN = {N}\nburn_in = {burn_in}\n")
+        assert run_experiment(cfg, output=str(tmp_path)) == 0
+        rep = json.loads((tmp_path / "kicks_report.json").read_text())
+        col = CHAIN_HEADER.split(",").index("E2")
+        pooled = [np.loadtxt(tmp_path / f"chain_{k}.csv", delimiter=",",
+                             skiprows=1)[burn_in:, col] for k in range(2)]
+        width = (N - burn_in) // N_WINDOWS
+        assert width == 2
+        for E2, series in zip(pooled, rep["window_wasserstein_E2"]):
+            windows = [E2[i * width:(i + 1) * width] for i in range(N_WINDOWS)]
+            assert series == [wasserstein1(a, b)
+                              for a, b in zip(windows, windows[1:])]
+        assert rep["split_wasserstein_E2"] == wasserstein1(pooled[0], pooled[1])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chain_0.csv", "chain_1.csv", "kicks_report.json"]
+
+    def test_T_V_probes_ignore_record_every(self):
+        # record_every thins the CSVs only; the probes' decay times are
+        # shorter than 5 steps, so a thinned record would round them up
+        text = (KICKS.replace("t_end = 0.05", "t_end = 0.5")
+                .replace("dt_max = 0.005", "dt_max = 0.01"))
+        T1, T5 = (measure_T_V(_cfg(text.replace("record_every = 1",
+                                                f"record_every = {k}")))
+                  for k in (1, 5))
+        assert max(T1[1]) < 5 * 0.01
+        assert T1 == T5
 
 
 class TestCli:

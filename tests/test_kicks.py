@@ -1,8 +1,7 @@
-"""Kick sampling, chain mechanics, empirical measures, and Wasserstein
-distance (with an assignment-problem oracle)."""
+"""Kick sampling, chain mechanics, and Wasserstein distance (with an
+assignment-problem oracle)."""
 
 import copy
-import json
 
 import numpy as np
 import pytest
@@ -13,9 +12,8 @@ from pe3d.dynamics import SimulationParams, solve_S
 from pe3d.errors import InputError
 from pe3d.fields import bc_residual, laplacian3
 from pe3d.grid import GridSpec, weights3
-from pe3d.kicks import (N_WINDOWS, OBSERVABLES, ChainState, KickConfig,
-                        chain_rng, chain_step, draw_kick, run_chain,
-                        wasserstein1)
+from pe3d.kicks import (KickConfig, chain_rng, chain_step, draw_kick,
+                        run_chain, wasserstein1)
 from pe3d.norms import norm_V
 from pe3d.projection import constraint_residual, project_H
 from pe3d.sampling import random_smooth_field
@@ -73,69 +71,47 @@ class TestKickDraws:
 class TestChain:
     def test_trace_deterministic(self, grid6, kick_cfg, params):
         v0 = random_smooth_field(np.random.default_rng(0), grid6)
-        t1, m1, _ = run_chain(kick_cfg, params, v0, chain_index=1)
-        t2, m2, _ = run_chain(kick_cfg, params, v0, chain_index=1)
+        t1 = run_chain(kick_cfg, params, v0, chain_index=1)
+        t2 = run_chain(kick_cfg, params, v0, chain_index=1)
+        assert np.array_equal(t1.n, np.arange(1, kick_cfg.N + 1))
         assert np.array_equal(t1.E2, t2.E2)
-        assert np.array_equal(m1.samples["H2"], m2.samples["H2"])
+        assert np.array_equal(t1.H2, t2.H2)
 
     def test_chain_indices_decorrelate(self, grid6, kick_cfg, params):
         v0 = random_smooth_field(np.random.default_rng(0), grid6)
-        t1, _, _ = run_chain(kick_cfg, params, v0, chain_index=0)
-        t2, _, _ = run_chain(kick_cfg, params, v0, chain_index=1)
+        t1 = run_chain(kick_cfg, params, v0, chain_index=0)
+        t2 = run_chain(kick_cfg, params, v0, chain_index=1)
         assert not np.array_equal(t1.E2, t2.E2)
 
     def test_checkpoint_restart_markov_surrogate(self, grid6, kick_cfg, params):
         # the future depends only on (X_k, rng state): duplicating both at
         # step k and continuing gives identical traces
-        v0 = project_H(random_smooth_field(np.random.default_rng(1), grid6))
-        state = ChainState(n=0, X=v0, rng=chain_rng(kick_cfg, 0))
+        X = project_H(random_smooth_field(np.random.default_rng(1), grid6))
+        rng = chain_rng(kick_cfg, 0)
         for _ in range(3):
-            state, _ = chain_step(state, kick_cfg, params)
-        fork = ChainState(n=state.n, X=state.X.copy(),
-                          rng=copy.deepcopy(state.rng))
+            X, _ = chain_step(X, rng, kick_cfg, params)
+        fork_X, fork_rng = X.copy(), copy.deepcopy(rng)
         tail_a, tail_b = [], []
         for _ in range(3):
-            state, _ = chain_step(state, kick_cfg, params)
-            tail_a.append(state.X.data.copy())
+            X, _ = chain_step(X, rng, kick_cfg, params)
+            tail_a.append(X.data.copy())
         for _ in range(3):
-            fork, _ = chain_step(fork, kick_cfg, params)
-            tail_b.append(fork.X.data.copy())
+            fork_X, _ = chain_step(fork_X, fork_rng, kick_cfg, params)
+            tail_b.append(fork_X.data.copy())
         for a, b in zip(tail_a, tail_b):
             assert np.array_equal(a, b)
 
     def test_boundedness_induction_inequality(self, grid6, kick_cfg, params):
         # |X_{n+1}|_V^2 <= 2 |S(T) X_n|_V^2 + 2 |xi|_V^2 each step
-        state = ChainState(n=0,
-                           X=project_H(random_smooth_field(
-                               np.random.default_rng(2), grid6)),
-                           rng=chain_rng(kick_cfg, 0))
+        X = project_H(random_smooth_field(np.random.default_rng(2), grid6))
+        rng = chain_rng(kick_cfg, 0)
         for _ in range(4):
-            flowed = solve_S(state.X, kick_cfg.T, params)
-            draw = draw_kick(state.rng, grid6, kick_cfg)
-            X_next = project_H(flowed + draw.xi)
-            lhs = norm_V(X_next) ** 2
+            flowed = solve_S(X, kick_cfg.T, params)
+            draw = draw_kick(rng, grid6, kick_cfg)
+            X = project_H(flowed + draw.xi)
+            lhs = norm_V(X) ** 2
             rhs = 2.0 * norm_V(flowed) ** 2 + 2.0 * draw.V2
             assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
-            state = ChainState(n=state.n + 1, X=X_next, rng=state.rng)
-
-
-class TestEmpiricalMeasure:
-    def test_histograms_built_and_roundtrip(self, grid6, kick_cfg, params):
-        v0 = random_smooth_field(np.random.default_rng(0), grid6)
-        _, pooled, windows = run_chain(kick_cfg, params, v0)
-        # the windows are consecutive equal slices of the pooled E2 samples
-        width = (kick_cfg.N - kick_cfg.burn_in) // N_WINDOWS
-        assert width >= 1 and len(windows) == N_WINDOWS
-        for k, window in enumerate(windows):
-            expected = pooled.samples["E2"][k * width:(k + 1) * width]
-            assert window.tobytes() == expected.tobytes()
-        back = json.loads(json.dumps(pooled.to_dict()))
-        assert list(back) == list(OBSERVABLES)
-        for name, entry in back.items():
-            samples = np.asarray(entry["samples"], dtype=float)
-            assert samples.tobytes() == pooled.samples[name].tobytes()
-            assert sum(entry["counts"]) == kick_cfg.N - kick_cfg.burn_in
-            assert len(entry["edges"]) == 25
 
 
 class TestWasserstein:
