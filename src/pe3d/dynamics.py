@@ -8,14 +8,15 @@ ladder all advance through it.
 The scheme is first-order IMEX Euler: explicit skew-symmetrized advection
 and forcing, implicit BC-aware diffusion, then projection.  ``nonlinear_B``
 takes its six derivative products of both components at once, as 4D
-arrays, through the cached per-axis SBP matrices (``grid.along``).  The
-diffusion solve is exact by fast diagonalization (the operator is a
-Kronecker sum of three 1D second differences on the free nodes): its
-eigenvector transforms are per-axis matmuls through the same helper, and
-its result is checked by the residual test of the weighted CG, which
-applies the Laplacian once and would iterate further only if that residual
-exceeded DIFFUSION_RTOL; it pins the Dirichlet nodes with
-``fields.zero_dirichlet``.  ``_derivatives_w3`` is the one definition of
+arrays, through the cached per-axis SBP matrices (``grid.along``), into
+the step's own derivative arrays.  The diffusion solve is exact by fast
+diagonalization (the operator is a Kronecker sum of three 1D second
+differences on the free nodes): its eigenvector transforms are per-axis
+matmuls through the same helper.  ``grid.laplacian_eigenbasis`` certifies
+its 1D identities once per grid, and the first step of each trajectory
+checks its solve by the residual test of the weighted CG, which applies
+the stencil once and would iterate only if that residual exceeded
+DIFFUSION_RTOL.  ``_derivatives_w3`` is the one definition of
 the diagnostic vertical velocity w3: a step takes its state's 4D x- and
 y-derivatives once, ``nonlinear_B`` reuses them, and their divergence
 gives the w3 that ``cfl_dt`` and ``nonlinear_B`` share.  ``project_H``
@@ -114,7 +115,8 @@ def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
     <B(v,v), v> reduces to boundary terms that vanish for BC-clean,
     constraint-satisfying states.  No projection is applied here.  ``w3``
     is the vertical velocity of v_adv and ``dv`` the x- and y-derivatives
-    of v, both from ``_derivatives_w3``.
+    of v, both from ``_derivatives_w3``.  ``dv`` is consumed: the result
+    accumulates in dv[0], and dv[1] holds the products a1 v, a2 v, w3 v.
     """
     if v_adv.data.shape != v.data.shape:
         raise InputError("nonlinear_B: field shapes differ")
@@ -124,11 +126,16 @@ def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
     my = diff_matrix("sbp", g.n2, g.d2)
     mz = diff_matrix("sbp", g.nz, g.dz)
     vd = v.data
-    adv = a1 * dv[0] + a2 * dv[1] + w3 * along(mz, vd, 3)
-    dvg = (along(mx, a1 * vd, 1) + along(my, a2 * vd, 2)
-           + along(mz, w3 * vd, 3))
-    out = 0.5 * (adv + dvg)
-    return HorizontalField(out, g)
+    adv, buf = dv
+    adv *= a1
+    adv += np.multiply(a2, buf, out=buf)
+    adv += w3 * along(mz, vd, 3)
+    dvg = along(mx, np.multiply(a1, vd, out=buf), 1)
+    dvg += along(my, np.multiply(a2, vd, out=buf), 2)
+    dvg += along(mz, np.multiply(w3, vd, out=buf), 3)
+    adv += dvg
+    adv *= 0.5
+    return HorizontalField(adv, g)
 
 
 def _separable_solve(b: np.ndarray, grid: GridSpec, dt_nu: float) -> np.ndarray:
@@ -138,29 +145,31 @@ def _separable_solve(b: np.ndarray, grid: GridSpec, dt_nu: float) -> np.ndarray:
     nodes of the result are zero."""
     (fx, bx), (fy, by), (fz, bz), lam = _grid.laplacian_eigenbasis(grid)
     free = (slice(None), slice(1, grid.n1), slice(1, grid.n2), slice(1, None))
-    y = along(fz, along(fy, along(fx, b[free], 1), 2), 3) / (1.0 - dt_nu * lam)
+    y = along(fz, along(fy, along(fx, b[free], 1), 2), 3)
+    y /= 1.0 - dt_nu * lam
     x = np.zeros_like(b)
     x[free] = along(bz, along(by, along(bx, y, 1), 2), 3)
     return x
 
 
-def _implicit_diffusion(w: HorizontalField, dt: float, nu: float) -> HorizontalField:
-    """Solve (I - dt nu lap_bc) v = w on the free nodes (Dirichlet nodes
-    pinned at zero).  The separable solve is exact; it starts the weighted
-    CG, whose initial residual test applies the stencil operator once and
-    accepts it, so every solve is checked against the stencil.  CG only
-    iterates if that residual exceeds DIFFUSION_RTOL."""
+def _implicit_diffusion(w: HorizontalField, dt: float, nu: float,
+                        certify: bool) -> HorizontalField:
+    """Solve (I - dt nu lap_bc) v = w on the free nodes by the separable
+    solve, exact once ``laplacian_eigenbasis`` has certified its basis; w's
+    Dirichlet faces are zeroed in place.  With ``certify`` the solve starts
+    the weighted CG, whose initial residual test checks it against the
+    stencil operator and accepts it unless it exceeds DIFFUSION_RTOL."""
     g = w.grid
-    vol = _grid.weights3(g)[None]
+    b = zero_dirichlet(w.data)
+    x = _separable_solve(b, g, dt * nu)
+    if certify:
+        def apply_op(data):
+            return zero_dirichlet(data - dt * nu * laplacian_bc(data, g))
 
-    def apply_op(data):
-        return zero_dirichlet(data - dt * nu * laplacian_bc(data, g))
-
-    b = zero_dirichlet(w.data.copy())
-    x = weighted_cg(apply_op, b, vol, rel_tol=DIFFUSION_RTOL,
-                    max_iter=200 * max(g.n1, g.n2, g.nz),
-                    x0=_separable_solve(b, g, dt * nu),
-                    label="implicit-diffusion")
+        x = weighted_cg(apply_op, b, _grid.weights3(g)[None],
+                        rel_tol=DIFFUSION_RTOL,
+                        max_iter=200 * max(g.n1, g.n2, g.nz), x0=x,
+                        label="implicit-diffusion")
     return HorizontalField(x, g)
 
 
@@ -179,7 +188,8 @@ def step(state: SimState, params: SimulationParams,
     """One IMEX Euler step: explicit advection + forcing, implicit
     diffusion, projection.  ``forcing`` is the source at the current time
     (None for none); ``dt_cap`` limits dt so a trajectory can land exactly
-    on a target time."""
+    on a target time.  Only a trajectory's first step (step_count 0) checks
+    its diffusion solve against the stencil."""
     v = state.v
     g = v.grid
     dv, w3 = _derivatives_w3(v)
@@ -190,9 +200,10 @@ def step(state: SimState, params: SimulationParams,
     B = nonlinear_B(v, v, w3=w3, dv=dv)
     del w3, dv   # not needed past the advection; frees them before the solve
     w = HorizontalField(v.data - dt * B.data, g)
+    del B
     if forcing is not None:
         w.data += dt * forcing.data
-    vstar = _implicit_diffusion(w, dt, params.nu)
+    vstar = _implicit_diffusion(w, dt, params.nu, state.step_count == 0)
     vnew = project_H(vstar)
 
     if not vnew.is_finite():

@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, SolverError
+
+#: relative bound of the 1D identities that certify laplacian_eigenbasis
+EIGEN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -215,10 +218,27 @@ def laplacian_eigenbasis(grid: GridSpec):
     """Separable eigenbasis of ``laplacian_bc`` on the free nodes
     [1:n1, 1:n2, 1:nz+1]: per axis (x, y, z) a (forward, back) transform
     pair, plus the eigenvalues lam_x + lam_y + lam_z on the free block
-    (fast diagonalization, Lynch, Rice & Thomas 1964)."""
-    fx, bx, lx = _free_eigenpairs(grid.n1, grid.d1, "dirichlet")
-    fy, by, ly = _free_eigenpairs(grid.n2, grid.d2, "dirichlet")
-    fz, bz, lz = _free_eigenpairs(grid.nz, grid.dz, "neumann")
+    (fast diagonalization, Lynch, Rice & Thomas 1964).
+
+    Certified when the cache fills, in max norms on each axis: the second
+    difference D maps the back transform to itself times lam,
+    |D back - back diag(lam)| <= EIGEN_TOL max|lam| max|back|, and
+    |fwd back - I| <= EIGEN_TOL.  The 3D solve is a Kronecker product of
+    these transforms, so it is then exact for every dt nu.  Raises
+    SolverError otherwise."""
+    axes = []
+    for n, d, top in ((grid.n1, grid.d1, "dirichlet"),
+                      (grid.n2, grid.d2, "dirichlet"),
+                      (grid.nz, grid.dz, "neumann")):
+        fwd, back, lam = _free_eigenpairs(n, d, top)
+        D = diff_matrix(top, n, d)[1:lam.size + 1, 1:lam.size + 1]
+        eig = np.abs(D @ back - back * lam).max()
+        inv = np.abs(fwd @ back - np.eye(lam.size)).max()
+        if eig > EIGEN_TOL * np.abs(lam).max() * np.abs(back).max() or inv > EIGEN_TOL:
+            raise SolverError(f"laplacian_eigenbasis: {top} axis, n={n}: eigen "
+                              f"residual {eig:.3e}, inverse residual {inv:.3e}")
+        axes.append((fwd, back, lam))
+    (fx, bx, lx), (fy, by, ly), (fz, bz, lz) = axes
     lam = lx[:, None, None] + ly[:, None] + lz
     for a in (fx, bx, fy, by, fz, bz, lam):
         a.setflags(write=False)

@@ -5,8 +5,9 @@ psi = sin^2(a x) sin^2(b y), a = pi/L1, b = pi/L2, c = pi/(2h).  It meets the
 boundary conditions, and d/dx P1 + d/dy P2 = 0, so u3 = 0 and p = 0.  Its
 source is f(t) = exp(-t) (-P - nu lap P) + exp(-2t) (P1 dP/dx + P2 dP/dy), a
 sum of products of exact 1D derivatives: the oracle shares nothing with the
-discrete operators.  Its three tables are cached per (grid, nu), so a step's
-source is two scalings and a sum.  The tests derive the source with sympy.
+discrete operators.  Its two tables are cached for the current (grid, nu),
+so a step's source is two scalings and a sum.  The tests derive the source
+with sympy.
 """
 
 from __future__ import annotations
@@ -48,40 +49,41 @@ def _sin_factors(k: float, s: np.ndarray):
             (s2, 2.0 * k * c2, -4.0 * k * k * s2))
 
 
-@functools.lru_cache(maxsize=8)
-def _tables(grid: GridSpec, nu: float):
-    """The read-only (2, n1+1, n2+1, nz+1) tables P, -P - nu lap P and
-    P1 dP/dx + P2 dP/dy; component k of P is s_k X_k(x) Y_k(y) cos(c z)."""
+def _P(grid: GridSpec, kx: int = 0, ky: int = 0) -> np.ndarray:
+    """The (2, n1+1, n2+1, nz+1) array of d^kx/dx^kx d^ky/dy^ky P on the
+    nodes; component k of P is s_k X_k(x) Y_k(y) cos(c z)."""
     a, b, c = math.pi / grid.L1, math.pi / grid.L2, math.pi / (2.0 * grid.h)
     sq_x, dbl_x = _sin_factors(a, grid.x())
     sq_y, dbl_y = _sin_factors(b, grid.y())
     Z = np.cos(c * grid.z())
+    return np.stack([s * X[kx][:, None, None] * Y[ky][None, :, None]
+                     * Z[None, None, :]
+                     for s, X, Y in ((b, sq_x, dbl_y), (-a, dbl_x, sq_y))])
 
-    def prod(s, X, Y, Zk):
-        return s * X[:, None, None] * Y[None, :, None] * Zk[None, None, :]
 
-    comps = ((b, sq_x, dbl_y), (-a, dbl_x, sq_y))
-    P = np.stack([prod(s, X[0], Y[0], Z) for s, X, Y in comps])
-    lap = np.stack([prod(s, X[2], Y[0], Z) + prod(s, X[0], Y[2], Z)
-                    for s, X, Y in comps]) - c * c * P
-    dx = np.stack([prod(s, X[1], Y[0], Z) for s, X, Y in comps])
-    dy = np.stack([prod(s, X[0], Y[1], Z) for s, X, Y in comps])
+@functools.lru_cache(maxsize=1)
+def _tables(grid: GridSpec, nu: float):
+    """The read-only tables -P - nu lap P and P1 dP/dx + P2 dP/dy of the
+    source.  One grid is cached: the ladder runs its cases grid by grid."""
+    c = math.pi / (2.0 * grid.h)
+    P = _P(grid)
+    lap = _P(grid, 2, 0) + _P(grid, 0, 2) - c * c * P
     lin = -P - nu * lap
-    adv = P[0] * dx + P[1] * dy
-    for t in (P, lin, adv):
+    adv = P[0] * _P(grid, 1, 0) + P[1] * _P(grid, 0, 1)
+    for t in (lin, adv):
         t.setflags(write=False)
-    return P, lin, adv
+    return lin, adv
 
 
-def _solution(grid: GridSpec, nu: float, t: float) -> HorizontalField:
+def _solution(grid: GridSpec, t: float) -> HorizontalField:
     """The analytic solution exp(-t) P on the grid nodes."""
-    return HorizontalField(math.exp(-t) * _tables(grid, nu)[0], grid)
+    return HorizontalField(math.exp(-t) * _P(grid), grid)
 
 
 def _source(grid: GridSpec, nu: float, t: float) -> HorizontalField:
     """The manufactured source A (-P - nu lap P) + A^2 (P1 dP/dx + P2 dP/dy),
     A = exp(-t)."""
-    _, lin, adv = _tables(grid, nu)
+    lin, adv = _tables(grid, nu)
     A = math.exp(-t)
     return HorizontalField(A * lin + (A * A) * adv, grid)
 
@@ -90,9 +92,9 @@ def _run_case(grid: GridSpec, nu: float, t_end: float, dt: float) -> float:
     """Advance the discretized analytic initial state to t_end with fixed dt
     and the manufactured source; return the H-norm error."""
     params = SimulationParams(nu=nu, dt_max=dt, cfl=1.0, t_end=t_end)
-    state = integrate(_solution(grid, nu, 0.0), t_end, params,
+    state = integrate(_solution(grid, 0.0), t_end, params,
                       forcing_at=lambda t: _source(grid, nu, t))
-    return norm_H(state.v - _solution(grid, nu, state.t))
+    return norm_H(state.v - _solution(grid, state.t))
 
 
 def verify_manufactured(nu: float) -> ConvergenceReport:

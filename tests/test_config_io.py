@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raw_field
 from pe3d.config import (ExperimentBlock, RunConfig, parse_config,
                          serialize_config)
 from pe3d.dynamics import SimulationParams

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import raw_field, ref_second_diff
 from pe3d import dynamics, norms
+from pe3d import grid as grid_mod
 from pe3d.dynamics import (SimState, SimulationParams, _derivatives_w3,
                            _implicit_diffusion, _separable_solve, cfl_dt,
                            integrate, nonlinear_B, solve_S, step)
-from pe3d.errors import DivergenceError, InputError
+from pe3d.errors import DivergenceError, InputError, SolverError
 from pe3d.fields import HorizontalField, apply_bc, zero_dirichlet
-from pe3d.grid import GridSpec, diff_sbp
+from pe3d.grid import GridSpec, along, diff_matrix, diff_sbp
 from pe3d.kicks import KickConfig, run_chain
 from pe3d.norms import inner_H, norm_H, norm_V, norm_report
 from pe3d.projection import project_H
@@ -66,11 +68,37 @@ def _reference_B(v_adv, v):
     return out
 
 
+def _formula_B(v_adv, v, w3, dv):
+    """nonlinear_B as a formula with a fresh array per term, in the order
+    of operations that nonlinear_B keeps while accumulating into dv."""
+    g = v.grid
+    a1, a2 = v_adv.u1, v_adv.u2
+    mx = diff_matrix("sbp", g.n1, g.d1)
+    my = diff_matrix("sbp", g.n2, g.d2)
+    mz = diff_matrix("sbp", g.nz, g.dz)
+    vd = v.data
+    adv = a1 * dv[0] + a2 * dv[1] + w3 * along(mz, vd, 3)
+    dvg = (along(mx, a1 * vd, 1) + along(my, a2 * vd, 2)
+           + along(mz, w3 * vd, 3))
+    return 0.5 * (adv + dvg)
+
+
 class TestNonlinearTerm:
     def test_passed_w3_matches_reference(self, grid12, rng):
         v_adv, v = raw_field(grid12, rng), raw_field(grid12, rng)
         ref = _reference_B(v_adv, v)
         assert _B(v_adv, v).data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("grid", [GridSpec(n1=12, n2=12, nz=12),
+                                      GridSpec(L1=2.0, L2=0.7, h=1.3,
+                                               n1=24, n2=20, nz=12)])
+    def test_in_place_accumulation_matches_formula(self, grid, rng):
+        # dv is consumed, so each call gets its own
+        v_adv, v = raw_field(grid, rng), raw_field(grid, rng)
+        w3 = _derivatives_w3(v_adv)[1]
+        got = nonlinear_B(v_adv, v, w3, _derivatives_w3(v)[0])
+        ref = _formula_B(v_adv, v, w3, _derivatives_w3(v)[0])
+        assert got.data.tobytes() == ref.tobytes()
 
     def test_energy_neutrality(self, smooth8):
         # the skew-symmetrized form pairs to zero against the state itself
@@ -112,10 +140,36 @@ def _dense_system(grid, dt_nu, w):
     return A, rhs, free
 
 
+def _count_cg(monkeypatch):
+    """Route dynamics' weighted_cg through a counter; returns the lists of
+    its calls and of its operator applications."""
+    calls, applies = [], []
+    cg = dynamics.weighted_cg
+
+    def counting(apply_op, *args, **kwargs):
+        calls.append(1)
+
+        def counted(x):
+            applies.append(1)
+            return apply_op(x)
+        return cg(counted, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "weighted_cg", counting)
+    return calls, applies
+
+
+def _six_steps():
+    """A 16^3 integration of exactly six steps: the field, duration and
+    parameters."""
+    grid = GridSpec(n1=16, n2=16, nz=16)
+    v0 = random_smooth_field(np.random.default_rng(3), grid)
+    return v0, 6e-3, SimulationParams(nu=1.0, dt_max=1e-3, cfl=1.0)
+
+
 class TestImplicitDiffusion:
     def test_matches_dense_solve(self, rng):
         # assemble (I - dt nu lap_bc) column by column on a minimal grid and
-        # compare against numpy's direct solver
+        # compare against numpy's direct solver, with and without the CG check
         grid = GridSpec(n1=4, n2=4, nz=4)
         dt, nu = 0.01, 0.7
         w = apply_bc(raw_field(grid, rng))
@@ -123,8 +177,10 @@ class TestImplicitDiffusion:
         # restrict to the free (non-Dirichlet) unknowns to keep A invertible
         expected = np.zeros(rhs.size)
         expected[free] = np.linalg.solve(A[np.ix_(free, free)], rhs[free])
-        got = _implicit_diffusion(w, dt, nu)
-        assert np.allclose(got.data.ravel(), expected, rtol=1e-8, atol=1e-10)
+        for certify in (False, True):
+            got = _implicit_diffusion(w.copy(), dt, nu, certify)
+            assert np.allclose(got.data.ravel(), expected, rtol=1e-8,
+                               atol=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(n1=st.integers(4, 7), n2=st.integers(4, 7), nz=st.integers(4, 7),
@@ -146,25 +202,48 @@ class TestImplicitDiffusion:
                            atol=1e-10 * np.abs(expected).max())
 
     def test_one_operator_application_per_solve(self, monkeypatch):
-        # the separable solve passes CG's initial residual test, so CG
-        # applies the stencil once and never iterates
-        applies = []
-        cg = dynamics.weighted_cg
+        # only a trajectory's first step hands its separable solve to CG;
+        # it passes CG's initial residual test, so CG applies the stencil
+        # once and never iterates
+        calls, applies = _count_cg(monkeypatch)
+        state = integrate(*_six_steps())
+        assert state.step_count == 6
+        assert len(calls) == len(applies) == 1
 
-        def counting(apply_op, *args, **kwargs):
-            def counted(x):
-                applies.append(1)
-                return apply_op(x)
-            return cg(counted, *args, **kwargs)
+    def test_certifying_every_step_changes_no_byte(self, monkeypatch):
+        once = integrate(*_six_steps())
+        calls, _ = _count_cg(monkeypatch)
+        real = dynamics._implicit_diffusion
+        monkeypatch.setattr(dynamics, "_implicit_diffusion",
+                            lambda w, dt, nu, certify: real(w, dt, nu, True))
+        every = integrate(*_six_steps())
+        assert len(calls) == every.step_count == once.step_count == 6
+        assert every.v.data.tobytes() == once.v.data.tobytes()
 
-        monkeypatch.setattr(dynamics, "weighted_cg", counting)
-        grid = GridSpec(n1=16, n2=16, nz=16)
-        w = apply_bc(raw_field(grid, np.random.default_rng(3)))
-        _implicit_diffusion(w, 0.01, 1.0)
-        assert len(applies) == 1
+    @pytest.mark.parametrize("corrupt", ["back", "lam"])
+    def test_corrupted_basis_raises_when_cache_fills(self, monkeypatch,
+                                                     corrupt):
+        # a back transform scaled by 1 + 1e-9 no longer inverts the forward
+        # one, and eigenvalues scaled by 1 + 1e-9 no longer match their
+        # eigenvectors; the cache must not hold a basis that passed before
+        pairs = grid_mod._free_eigenpairs
+
+        def corrupted(n, d, top):
+            fwd, back, lam = pairs(n, d, top)
+            if corrupt == "back":
+                return fwd, back * (1.0 + 1e-9), lam
+            return fwd, back, lam * (1.0 + 1e-9)
+
+        monkeypatch.setattr(grid_mod, "_free_eigenpairs", corrupted)
+        grid_mod.laplacian_eigenbasis.cache_clear()
+        try:
+            with pytest.raises(SolverError, match="laplacian_eigenbasis"):
+                grid_mod.laplacian_eigenbasis(GridSpec(n1=8, n2=8, nz=8))
+        finally:
+            grid_mod.laplacian_eigenbasis.cache_clear()
 
     def test_decreases_H_norm(self, smooth8):
-        out = _implicit_diffusion(smooth8, 0.05, 1.0)
+        out = _implicit_diffusion(smooth8.copy(), 0.05, 1.0, False)
         assert norm_H(out) < norm_H(smooth8)
 
 
@@ -213,6 +292,25 @@ class TestStepper:
             assert cfl_args[2] is b_kw["w3"]
             assert b_kw["w3"].tobytes() == _derivatives_w3(v)[1].tobytes()
             assert B.data.tobytes() == _B(v, v).data.tobytes()
+
+    def test_step_working_set(self):
+        # a step after the first, with forcing, allocates at most five
+        # state-sized arrays at once, its result included
+        grid = GridSpec(n1=24, n2=24, nz=24)
+        v = project_H(random_smooth_field(np.random.default_rng(3), grid))
+        params = SimulationParams(nu=1.0, dt_max=2e-3)
+        state = step(SimState(t=0.0, v=v), params)
+        forcing = 0.01 * random_smooth_field(np.random.default_rng(4), grid)
+        assert state.step_count == 1
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            step(state, params, forcing=forcing)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * state.v.data.nbytes
 
     def test_dt_cap_landing(self, smooth8):
         params = SimulationParams(dt_max=0.01, cfl=1.0)

@@ -16,7 +16,7 @@ from pe3d.estimates import (AbsorbReport, GrowthParams, TrajectoryDiagnostics,
                             record_trajectory)
 from pe3d.fields import HorizontalField
 from pe3d.grid import GridSpec
-from pe3d.norms import norm_report, norm_V
+from pe3d.norms import norm_report
 from pe3d.sampling import random_smooth_field
 
 

@@ -8,7 +8,7 @@ import pytest
 from pe3d.cli import main
 from pe3d.config import parse_config
 from pe3d import experiments
-from pe3d.errors import DivergenceError, InputError
+from pe3d.errors import DivergenceError
 from pe3d.experiments import (CHAIN_HEADER, N_WINDOWS, TRAJECTORY_HEADER,
                               measure_T_V, run_experiment)
 from pe3d.kicks import wasserstein1

@@ -48,7 +48,7 @@ class TestAnalyticSpec:
     def test_tables_match_symbolic_source(self, oracle, t):
         grid, nu, (fv, fs) = oracle
         X, Y, Z = grid.meshgrid()
-        for funcs, mine in ((fv, _solution(grid, nu, t)),
+        for funcs, mine in ((fv, _solution(grid, t)),
                             (fs, _source(grid, nu, t))):
             ref = np.stack([np.broadcast_to(f(X, Y, Z, t), grid.shape)
                             for f in funcs])
