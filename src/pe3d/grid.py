@@ -182,10 +182,19 @@ def diff_sbp(f: np.ndarray, d: float, axis: int) -> np.ndarray:
     return along(diff_matrix("sbp", f.shape[axis] - 1, d), f, axis)
 
 
-def diff_onesided2(f: np.ndarray, d: float, axis: int) -> np.ndarray:
-    """First derivative: centered interior, one-sided second order at the
-    boundary planes (used by the norm quadratures; no BC assumption)."""
-    return along(diff_matrix("onesided2", f.shape[axis] - 1, d), f, axis)
+@functools.lru_cache(maxsize=32)
+def weighted_gradient(grid: GridSpec):
+    """sqrt(weights3) and, per axis (x, y, z), M = W^(1/2) D W^(-1/2) for the
+    one-sided difference D and the 1D trapezoid weights W (read-only): the
+    weights are a tensor product, so W^(1/2) D v = M (W^(1/2) v) on 3D."""
+    mats = []
+    for n, d in ((grid.n1, grid.d1), (grid.n2, grid.d2), (grid.nz, grid.dz)):
+        s = np.sqrt(_trapezoid_weights(n, d))
+        mats.append(s[:, None] * diff_matrix("onesided2", n, d) / s[None, :])
+    sw = np.sqrt(weights3(grid))
+    for a in (sw, *mats):
+        a.setflags(write=False)
+    return sw, tuple(mats)
 
 
 def laplacian_bc(a: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -25,7 +25,7 @@ from .dynamics import SimulationParams, solve_S
 from .errors import InputError
 from .fields import HorizontalField, laplacian3
 from .grid import GridSpec, weights3
-from .norms import norm_H, norm_L6, norm_V, norm_V_K
+from .norms import _report, norm_V
 from .projection import project_H
 from .sampling import mode_sum
 
@@ -138,9 +138,8 @@ def run_chain(config: KickConfig, params: SimulationParams,
     rows = []
     for n in range(1, config.N + 1):
         X, draw = chain_step(X, rng, config, params)
-        E, K = norm_V_K(X)
-        rows.append((n, norm_H(X) ** 2, E ** 2, norm_L6(X), K, draw.V2,
-                     draw.rescaled))
+        rep = _report(X, kbar=False)
+        rows.append((n, rep.H2, rep.E2, rep.J, rep.K, draw.V2, draw.rescaled))
     return ChainTrace(*(np.array(col) for col in zip(*rows)))
 
 

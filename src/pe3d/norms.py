@@ -1,15 +1,15 @@
 """Norms and inner products used by the a priori estimates.
 
-All quadratures share the trapezoid-product weights from the grid module,
-so summation-by-parts identities hold (exactly for the SBP pair, to
-truncation error for the one-sided norm gradients).  Reductions are plain
-numpy sums in fixed axis order, hence bitwise deterministic.
-
-The V, K and Kbar sums have one definition, ``_gradient_sums``: it takes
-each component's gradient once, and its z-part is both the integrand of K
-and, for norm_report, the input of Kbar's gradient (12 one-sided
-differences per state).  norm_V_K, the pair the kick chain observes, and
-norm_report read it; norm_V is norm_V_K's first entry.
+All quadratures share the trapezoid-product weights W from the grid module.
+The norms of a state are one weighted pass, ``_sums``, over both components
+as one 4D array: scaled once, fs = W^(1/2) v, every weighted sum of squares
+is a dot product and every one-sided derivative of fs is one ``grid.along``
+with a weight-conjugated matrix (``grid.weighted_gradient``).  E2 takes
+three; the z-derivative gives K and feeds Kbar's three.  norm_H is the dot
+product of fs; norm_V_K (the chain's pair) and norm_report read the pass,
+and norm_V is norm_V_K's first entry.  K's sum is one summand of E2's, so
+K^2 <= E2 exactly.  The sums run in a fixed order for any BLAS thread
+count (``_sumsq``), hence bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .fields import HorizontalField
-from .grid import GridSpec, diff_onesided2, weights3
+from .grid import along, weighted_gradient, weights3
 
 
 def inner_H(u: HorizontalField, w: HorizontalField) -> float:
@@ -30,52 +30,44 @@ def inner_H(u: HorizontalField, w: HorizontalField) -> float:
     return float(np.sum((u.u1 * w.u1 + u.u2 * w.u2) * vol))
 
 
+def _sumsq(a: np.ndarray) -> float:
+    """The sum of squares of a 3D or 4D array: one BLAS dot product per
+    (y, z) slab, or per z-column if a slab has more than 10,000 entries (the
+    most OpenBLAS sums in one thread), then numpy's fixed-order sum, so no
+    sum order depends on the BLAS thread count."""
+    n = a.shape[-2] * a.shape[-1]
+    f = a.reshape(-1, n if n <= 10_000 else a.shape[-1])
+    return float(np.vecdot(f, f).sum())
+
+
 def norm_H(v: HorizontalField) -> float:
-    return float(np.sqrt(max(inner_H(v, v), 0.0)))
+    return float(np.sqrt(_sumsq(v.data * weighted_gradient(v.grid)[0])))
 
 
-def _gradient(a: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
-    """Full 3D gradient: centered interior, one-sided second order on the
-    boundary layers (no fictitious ghost energy)."""
-    return [diff_onesided2(a, grid.d1, 0),
-            diff_onesided2(a, grid.d2, 1),
-            diff_onesided2(a, grid.dz, 2)]
-
-
-def _gradient_sums(v: HorizontalField, kbar: bool) -> tuple[float, float, float]:
-    """The weighted sums of squares behind E2, K^2 and (if ``kbar``, else
-    0) Kbar^2, accumulated term by term in (component, axis) order."""
-    vol = weights3(v.grid)
-    sV = sK = sKbar = 0.0
-    for comp in (v.u1, v.u2):
-        grad = _gradient(comp, v.grid)
-        terms = [float(np.sum(g * g * vol)) for g in grad]
-        for term in terms:
-            sV += term
-        sK += terms[2]
-        if kbar:
-            for g in _gradient(grad[2], v.grid):
-                sKbar += float(np.sum(g * g * vol))
-    return sV, sK, sKbar
+def _sums(v: HorizontalField, kbar: bool) -> tuple[float, ...]:
+    """The weighted sums behind H2, E2, J^6, K^2 and (if ``kbar``, else 0)
+    Kbar^2."""
+    sw, mats = weighted_gradient(v.grid)
+    fs = v.data * sw
+    gz = along(mats[2], fs, 3)
+    sK = _sumsq(gz)
+    sV = _sumsq(along(mats[0], fs, 1)) + _sumsq(along(mats[1], fs, 2)) + sK
+    sKbar = 0.0
+    if kbar:
+        sKbar = sum(_sumsq(along(m, gz, a)) for a, m in enumerate(mats, 1))
+    cube = fs * v.data  # W^(1/2) v^3
+    cube *= v.data
+    return _sumsq(fs), sV, _sumsq(cube), sK, sKbar
 
 
 def norm_V_K(v: HorizontalField) -> tuple[float, float]:
-    """The V norm and K, the L2 norm of the z-derivative; the z-stencils
-    are shared, so K <= norm_V holds exactly."""
-    sV, sK, _ = _gradient_sums(v, kbar=False)
+    """The V norm and K, the L2 norm of the z-derivative."""
+    _, sV, _, sK, _ = _sums(v, kbar=False)
     return float(np.sqrt(sV)), float(np.sqrt(sK))
 
 
 def norm_V(v: HorizontalField) -> float:
     return norm_V_K(v)[0]
-
-
-def norm_L6(v: HorizontalField) -> float:
-    vol = weights3(v.grid)
-    # cube of the square: u ** 6 would go through libm pow
-    s1, s2 = v.u1 * v.u1, v.u2 * v.u2
-    s = float(np.sum((s1 * s1 * s1 + s2 * s2 * s2) * vol))
-    return float(max(s, 0.0) ** (1.0 / 6.0))
 
 
 @dataclass(frozen=True)
@@ -93,20 +85,20 @@ class NormReport:
         for name in ("H2", "E2", "J", "K", "Kbar"):
             if getattr(self, name) < 0:
                 raise InputError(f"NormReport.{name} must be nonnegative")
-        # K <= Ebar holds exactly for the discrete norms as implemented;
-        # allow rounding headroom.
+        # exact for _report (K's sum is a summand of E2's); headroom kept
         if self.K ** 2 > self.E2 * (1.0 + 1e-12) + 1e-300:
             raise InputError("NormReport invariant violated: K^2 > E2")
+
+
+def _report(v: HorizontalField, kbar: bool) -> NormReport:
+    """The report of one pass; Kbar is 0 unless ``kbar``."""
+    sH, sV, sJ, sK, sKbar = _sums(v, kbar)
+    return NormReport(H2=float(np.sqrt(sH)) ** 2, E2=float(np.sqrt(sV)) ** 2,
+                      J=sJ ** (1.0 / 6.0), K=float(np.sqrt(sK)),
+                      Kbar=float(np.sqrt(sKbar)))
 
 
 def norm_report(v: HorizontalField) -> NormReport:
     """All estimate quantities of one state; Kbar is the L2 norm of the
     full gradient of the z-derivative."""
-    sV, sK, sKbar = _gradient_sums(v, kbar=True)
-    return NormReport(
-        H2=norm_H(v) ** 2,
-        E2=float(np.sqrt(sV)) ** 2,
-        J=norm_L6(v),
-        K=float(np.sqrt(sK)),
-        Kbar=float(np.sqrt(sKbar)),
-    )
+    return _report(v, kbar=True)

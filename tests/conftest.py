@@ -1,10 +1,29 @@
 """Shared fixtures and helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pe3d
 from pe3d.fields import HorizontalField
 from pe3d.grid import GridSpec
+
+
+def run_with_blas_threads(script: str, threads: str) -> str:
+    """The stdout of ``script`` run by a fresh interpreter with this
+    checkout's pe3d and OPENBLAS_NUM_THREADS=threads: a fresh process per
+    thread count, since OpenBLAS reads it at load."""
+    src = str(Path(pe3d.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True).stdout
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,14 @@
 """Nonlinear term, time stepper, and solution-operator properties."""
 
-import os
 import platform
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raw_field, ref_second_diff
+from conftest import raw_field, ref_second_diff, run_with_blas_threads
 from pe3d import dynamics, norms
 from pe3d import grid as grid_mod
 from pe3d.dynamics import (SimState, SimulationParams, _derivatives_w3,
@@ -378,15 +374,15 @@ print(state.step_count, hashlib.sha256(state.v.data.tobytes()).hexdigest())
 
 class TestIntegrate:
     def test_solve_S_computes_no_norm_report(self, smooth8, monkeypatch):
-        # every V, K and Kbar sum goes through norms._gradient_sums
+        # every V, K and Kbar sum goes through norms._sums
         calls = []
-        sums = norms._gradient_sums
+        sums = norms._sums
 
         def counting(v, kbar):
             calls.append(1)
             return sums(v, kbar)
 
-        monkeypatch.setattr(norms, "_gradient_sums", counting)
+        monkeypatch.setattr(norms, "_sums", counting)
         solve_S(smooth8, 0.05, SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4))
         assert calls == []
 
@@ -423,18 +419,9 @@ class TestIntegrate:
         assert faults < 20 * state.step_count
 
     def test_state_bytes_do_not_depend_on_blas_threads(self):
-        # every difference operator is a BLAS matmul; a fresh process per
-        # thread count, since OpenBLAS reads its thread count at load
-        src = str(Path(dynamics.__file__).resolve().parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")]))
-            proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
-                                  env=env, capture_output=True, text=True,
-                                  timeout=120, check=True)
-            digests.append(proc.stdout.split())
+        # every difference operator is a BLAS matmul
+        digests = [run_with_blas_threads(_THREADS_SCRIPT, threads).split()
+                   for threads in ("1", "2")]
         assert int(digests[0][0]) > 1
         assert digests[0] == digests[1]
 

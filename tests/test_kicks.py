@@ -14,7 +14,7 @@ from pe3d.fields import bc_residual, laplacian3
 from pe3d.grid import GridSpec, weights3
 from pe3d.kicks import (KickConfig, chain_rng, chain_step, draw_kick,
                         run_chain, wasserstein1)
-from pe3d.norms import norm_V
+from pe3d.norms import norm_H, norm_report, norm_V, norm_V_K
 from pe3d.projection import constraint_residual, project_H
 from pe3d.sampling import random_smooth_field
 
@@ -76,6 +76,19 @@ class TestChain:
         assert np.array_equal(t1.n, np.arange(1, kick_cfg.N + 1))
         assert np.array_equal(t1.E2, t2.E2)
         assert np.array_equal(t1.H2, t2.H2)
+
+    def test_rows_are_the_norms_of_the_chain_states(self, grid6, kick_cfg, params):
+        # replay the chain step by step: each row holds the public norms of
+        # X_n, bit for bit, and the draw that made it
+        v0 = random_smooth_field(np.random.default_rng(4), grid6)
+        trace = run_chain(kick_cfg, params, v0, chain_index=2)
+        X, rng = project_H(v0), chain_rng(kick_cfg, 2)
+        for i in range(kick_cfg.N):
+            X, draw = chain_step(X, rng, kick_cfg, params)
+            V, K = norm_V_K(X)
+            assert (trace.H2[i], trace.E2[i], trace.K[i]) == (norm_H(X) ** 2, V ** 2, K)
+            assert trace.J[i] == norm_report(X).J
+            assert (trace.kick_V2[i], trace.rescaled[i]) == (draw.V2, draw.rescaled)
 
     def test_chain_indices_decorrelate(self, grid6, kick_cfg, params):
         v0 = random_smooth_field(np.random.default_rng(0), grid6)
