@@ -19,10 +19,10 @@ the stencil once and would iterate only if that residual exceeded
 DIFFUSION_RTOL.  ``_derivatives_w3`` is the one definition of
 the diagnostic vertical velocity w3: a step takes its state's 4D x- and
 y-derivatives once, ``nonlinear_B`` reuses them, and their divergence
-gives the w3 that ``cfl_dt`` and ``nonlinear_B`` share.  ``project_H``
+gives the w3 that ``cfl_dt`` and ``nonlinear_B`` share.  The projection
 returns BC-clean fields, so no boundary assignment follows it and no kernel
-checks boundary values: every state ``integrate`` hands a step is an output
-of ``project_H``.
+checks boundary values: ``integrate`` projects its input with ``project_H``,
+and a step projects its own (BC-clean) solve in place.
 
 A step only advances the state; each ``SimState`` carries the dt of the
 step that produced it.  The skew-symmetrized advection makes the discrete
@@ -50,7 +50,7 @@ from .grid import (GridSpec, along, cumulative_z_integral, diff_matrix,
                    laplacian_bc)
 from .linalg import weighted_cg
 from .norms import norm_H
-from .projection import project_H
+from .projection import _project_in_place, project_H
 from . import grid as _grid
 
 #: floor in the CFL denominator so dt does not blow up near zero states
@@ -153,15 +153,18 @@ def _separable_solve(b: np.ndarray, grid: GridSpec, dt_nu: float) -> np.ndarray:
 
 
 def _implicit_diffusion(w: HorizontalField, dt: float, nu: float,
-                        certify: bool) -> HorizontalField:
+                        certify: bool) -> HorizontalField | None:
     """Solve (I - dt nu lap_bc) v = w on the free nodes by the separable
     solve, exact once ``laplacian_eigenbasis`` has certified its basis; w's
-    Dirichlet faces are zeroed in place.  With ``certify`` the solve starts
-    the weighted CG, whose initial residual test checks it against the
-    stencil operator and accepts it unless it exceeds DIFFUSION_RTOL."""
+    Dirichlet faces are zeroed in place.  None if the solve is not finite
+    (the state diverged).  With ``certify`` a finite solve starts the
+    weighted CG, whose initial residual test checks it against the stencil
+    operator and accepts it unless it exceeds DIFFUSION_RTOL."""
     g = w.grid
     b = zero_dirichlet(w.data)
     x = _separable_solve(b, g, dt * nu)
+    if not np.isfinite(x).all():
+        return None
     if certify:
         def apply_op(data):
             return zero_dirichlet(data - dt * nu * laplacian_bc(data, g))
@@ -189,7 +192,8 @@ def step(state: SimState, params: SimulationParams,
     diffusion, projection.  ``forcing`` is the source at the current time
     (None for none); ``dt_cap`` limits dt so a trajectory can land exactly
     on a target time.  Only a trajectory's first step (step_count 0) checks
-    its diffusion solve against the stencil."""
+    its diffusion solve against the stencil; a non-finite solve raises
+    DivergenceError before that check and before the projection."""
     v = state.v
     g = v.grid
     dv, w3 = _derivatives_w3(v)
@@ -203,16 +207,14 @@ def step(state: SimState, params: SimulationParams,
     del B
     if forcing is not None:
         w.data += dt * forcing.data
-    vstar = _implicit_diffusion(w, dt, params.nu, state.step_count == 0)
-    vnew = project_H(vstar)
-
-    if not vnew.is_finite():
+    vnew = _implicit_diffusion(w, dt, params.nu, state.step_count == 0)
+    if vnew is None:
         raise DivergenceError(
             f"state diverged at t={state.t:.6g} (step {state.step_count})",
             diagnostics={"t": state.t, "step": state.step_count, "dt": dt,
                          "H_before": norm_H(v)})
-    return SimState(t=state.t + dt, v=vnew, step_count=state.step_count + 1,
-                    dt=dt)
+    return SimState(t=state.t + dt, v=_project_in_place(vnew),
+                    step_count=state.step_count + 1, dt=dt)
 
 
 def reached(t: float, t_end: float) -> bool:

@@ -1,8 +1,8 @@
 """Kick-forced Markov chain.
 
-The chain is X_n = S(T)[X_{n-1}] + xi_n with i.i.d. kicks drawn from a
-stream-function construction that satisfies the boundary conditions and
-the divergence constraint analytically, then rescaled so the squared
+The chain is X_n = S(T)[X_{n-1}] + xi_n with i.i.d. kicks: mode sums
+(``sampling``), which satisfy the boundary conditions and the divergence
+constraint analytically, rescaled in coefficient space so the squared
 Laplacian norm stays below the bound R (and, as a safeguard, the squared
 V-norm too); a draw records its V-norm and whether either rescaling fired.
 ``run_chain`` returns the chain's trace, one row per step.  Its post-burn-in
@@ -23,11 +23,11 @@ import numpy as np
 
 from .dynamics import SimulationParams, solve_S
 from .errors import InputError
-from .fields import HorizontalField, laplacian3
-from .grid import GridSpec, weights3
-from .norms import _report, norm_V
+from .fields import HorizontalField
+from .grid import GridSpec, _trapezoid_weights, along, diff_matrix, weights2
+from .norms import _report
 from .projection import project_H
-from .sampling import mode_sum
+from .sampling import mode_factors, mode_sum
 
 
 @dataclass(frozen=True)
@@ -60,39 +60,57 @@ class KickDraw:
     rescaled: bool       # the |lap xi|^2 bound or the V-norm safeguard rescaled xi
 
 
-def _lap2_norm2(xi: HorizontalField) -> float:
-    lap = laplacian3(xi)
-    vol = weights3(xi.grid)
-    return float(np.sum((lap.u1 ** 2 + lap.u2 ** 2) * vol))
-
-
 @functools.lru_cache(maxsize=32)
-def _base_amplitude(grid: GridSpec, n_modes: int, R: float) -> float:
-    """Scale so a typical raw draw has |lap xi|^2 around R/4; computed from
-    the deterministic all-ones-coefficients draw."""
-    ref = mode_sum(grid, n_modes, np.ones(n_modes ** 3))
-    raw = _lap2_norm2(ref)
-    return 0.0 if R == 0 or raw == 0 else 1.5 * np.sqrt(R / raw)
+def _grams(grid: GridSpec, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """G_lap and G_V of the unit mode sums, read-only: for xi = mode_sum(c),
+    |lap xi|^2 = c^T G_lap c and |xi|_V^2 = c^T G_V c.  The unit mode sum of
+    (j, k) is w[j, k] F_j (x) phi_k (``sampling.mode_factors``), and every
+    operator in the two norms is a sum of per-axis ones, so each image is a
+    sum of tensor products and its Gram a sum of Kronecker products of
+    weighted 2D and 1D Grams; no 3D field is formed."""
+    F, phi, w = mode_factors(grid, n_modes)
+    w2, wz = weights2(grid)[:, :, None], _trapezoid_weights(grid.nz, grid.dz)
+    x, y, z = (1, grid.n1, grid.d1), (2, grid.n2, grid.d2), (1, grid.nz, grid.dz)
+
+    def d(kind, f, axis):
+        return along(diff_matrix(kind, *axis[1:]), f, axis[0])
+
+    def gram(*terms):
+        """The Gram of the images sum over (a, b) in terms of a (x) b."""
+        return np.outer(w, w) * sum(
+            np.kron(a.reshape(-1, a.shape[-1]).T @ (w2 * a2).reshape(-1, a2.shape[-1]),
+                    (b * wz) @ b2.T) for a, b in terms for a2, b2 in terms)
+
+    g_lap = gram((d("dirichlet", F, x) + d("dirichlet", F, y), phi),
+                 (F, d("neumann", phi, z)))
+    g_V = (gram((d("onesided2", F, x), phi)) + gram((d("onesided2", F, y), phi))
+           + gram((F, d("onesided2", phi, z))))
+    for g in (g_lap, g_V):
+        g.setflags(write=False)
+    return g_lap, g_V
 
 
 def draw_kick(rng: np.random.Generator, grid: GridSpec, config: KickConfig) -> KickDraw:
     """Random kick bounded by |lap xi|_{L2}^2 <= R (and, as a safeguard for
-    the chain boundedness induction, |xi|_V^2 <= R), with its metadata."""
+    the chain boundedness induction, |xi|_V^2 <= R), with its metadata.
+    Drawn in coefficient space: uniform(-1, 1) coefficients scaled so the
+    all-ones draw would have |lap xi|^2 = 2.25 R; both norms are quadratic
+    forms in them (``_grams``), and both rescalings scale them."""
     if config.R == 0.0:
         return KickDraw(HorizontalField.zeros(grid), 0.0, False)
-    coeffs = rng.uniform(-1.0, 1.0, size=config.n_modes ** 3)
-    xi = (_base_amplitude(grid, config.n_modes, config.R)
-          * mode_sum(grid, config.n_modes, coeffs))
-    lap2 = _lap2_norm2(xi)
+    g_lap, g_V = _grams(grid, config.n_modes)
+    c = rng.uniform(-1.0, 1.0, size=config.n_modes ** 3)
+    c *= 1.5 * np.sqrt(config.R / g_lap.sum())
+    lap2 = c @ g_lap @ c
     rescaled = lap2 > config.R
     if rescaled:
-        xi = float(np.sqrt(config.R / lap2)) * xi
-    V2 = norm_V(xi) ** 2
+        c *= np.sqrt(config.R / lap2)
+    V2 = float(c @ g_V @ c)
     if V2 > config.R:
-        xi = float(np.sqrt(config.R / V2)) * xi
+        c *= np.sqrt(config.R / V2)
         V2 = config.R
         rescaled = True
-    return KickDraw(xi, V2, rescaled)
+    return KickDraw(mode_sum(grid, config.n_modes, c), V2, bool(rescaled))
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +124,11 @@ def chain_rng(config: KickConfig, chain_index: int = 0) -> np.random.Generator:
 
 def chain_step(X: HorizontalField, rng: np.random.Generator, config: KickConfig,
                params: SimulationParams) -> tuple[HorizontalField, KickDraw]:
-    """X <- project(S(T)[X] + xi); the projection is a no-op up to tolerance
-    since both summands lie in the discrete space H."""
+    """X <- S(T)[X] + xi, unprojected: both summands lie in the discrete
+    space H, and the next step's ``solve_S`` projects its input anyway."""
     flowed = solve_S(X, config.T, params)
     draw = draw_kick(rng, X.grid, config)
-    return project_H(flowed + draw.xi), draw
+    return flowed + draw.xi, draw
 
 
 @dataclass

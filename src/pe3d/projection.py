@@ -102,11 +102,15 @@ def project_H(w: HorizontalField) -> HorizontalField:
     b = C g has no component along (see ``_constraint_ops``)."""
     if not w.is_finite():
         raise InputError("project_H: field contains NaN/Inf")
-    grid = w.grid
-    Dx, Dy = _constraint_ops(grid)[:2]
+    return _project_in_place(apply_bc(w))
 
-    v = apply_bc(w)
-    # apply_bc zeroed the side faces, so the interior block carries all of g
+
+def _project_in_place(v: HorizontalField) -> HorizontalField:
+    """``project_H`` of a finite v that is already zero on the Dirichlet
+    faces, computed in v's own array; returns v."""
+    grid = v.grid
+    Dx, Dy = _constraint_ops(grid)[:2]
+    # the side faces are zero, so the interior block carries all of g
     g1 = vertical_integral(v.u1, grid)[1:-1, 1:-1] / grid.h
     g2 = vertical_integral(v.u2, grid)[1:-1, 1:-1] / grid.h
     b = Dx @ g1 + g2 @ Dy.T
@@ -117,7 +121,7 @@ def project_H(w: HorizontalField) -> HorizontalField:
     lam = _schur_solve(grid, b) / kappa
     scale = grid.d1 * grid.d2 * grid.h
     # subtract on the free z-levels of the interior only (the Dirichlet
-    # faces and the pinned bottom keep the zeros apply_bc wrote)
+    # faces and the pinned bottom keep their zeros)
     v.data[0, 1:-1, 1:-1, 1:] -= (Dx.T @ lam / scale)[:, :, None]
     v.data[1, 1:-1, 1:-1, 1:] -= (lam @ Dy / scale)[:, :, None]
     return v

@@ -357,6 +357,36 @@ class TestStepper:
         e = DivergenceError("boom", diagnostics={"t": 1.0})
         assert e.diagnostics["t"] == 1.0
 
+    @pytest.mark.parametrize("step_count", [0, 1])
+    def test_diverging_step_raises_before_cg(self, monkeypatch, step_count):
+        # the advection of this state overflows, so its diffusion solve is
+        # not finite: a trajectory's first step must not hand it to CG, and
+        # no step may hand it to the projection
+        calls, _ = _count_cg(monkeypatch)
+        projected = []
+        monkeypatch.setattr(dynamics, "_project_in_place", projected.append)
+        grid = GridSpec(n1=8, n2=8, nz=8)
+        v = 1e160 * project_H(random_smooth_field(np.random.default_rng(0), grid))
+        state = SimState(t=0.25, v=v, step_count=step_count)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as e:
+            step(state, SimulationParams(dt_max=1e-2))
+        assert calls == projected == []
+        diag = e.value.diagnostics
+        assert set(diag) == {"t", "step", "dt", "H_before"}
+        assert (diag["t"], diag["step"]) == (0.25, step_count)
+
+    def test_step_projects_as_project_H_does(self, smooth8, monkeypatch):
+        # the in-place projection of a step's solve changes no byte against
+        # project_H of the same solve
+        params = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4)
+        forcing = 0.3 * smooth8
+        in_place = integrate(smooth8, 0.05, params, forcing_at=lambda t: forcing)
+        monkeypatch.setattr(dynamics, "_project_in_place", project_H)
+        public = integrate(smooth8, 0.05, params, forcing_at=lambda t: forcing)
+        assert in_place.step_count == public.step_count > 1
+        assert in_place.v.data.tobytes() == public.v.data.tobytes()
+
 
 #: a short 24^3 integration; prints the step count and the final state's hash
 _THREADS_SCRIPT = """\

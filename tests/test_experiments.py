@@ -86,6 +86,19 @@ class TestFailurePaths:
         assert fail["kind"] == "error"
         assert fail["diagnostics"] == {"t": 0.5, "step": 7}
 
+    def test_diverging_run_writes_step_diagnostics(self, tmp_path):
+        # an initial field so large that the state overflows within a few
+        # hundred steps: the step that diverges, not the projection after
+        # it, reports the failure
+        cfg = _cfg(TINY.replace("R = 0.5", "R = 3e307").replace("n_ic = 2", "n_ic = 1"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_experiment(cfg, output=str(tmp_path)) == 3
+        fail = json.loads((tmp_path / "failure.json").read_text())
+        assert fail["kind"] == "error"
+        assert fail["detail"].startswith("state diverged")
+        assert set(fail["diagnostics"]) == {"t", "step", "dt", "H_before"}
+        assert fail["diagnostics"]["step"] > 0
+
     def test_unexpected_exception_recorded_and_reraised(self, tmp_path, monkeypatch):
         def broken(cfg, outdir):
             raise KeyError("missing")

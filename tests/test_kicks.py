@@ -8,15 +8,42 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import wasserstein_distance
 
+from conftest import run_with_blas_threads
+from pe3d import dynamics, kicks
 from pe3d.dynamics import SimulationParams, solve_S
 from pe3d.errors import InputError
 from pe3d.fields import bc_residual, laplacian3
 from pe3d.grid import GridSpec, weights3
-from pe3d.kicks import (KickConfig, chain_rng, chain_step, draw_kick,
-                        run_chain, wasserstein1)
+from pe3d.kicks import (KickConfig, _grams, chain_rng, chain_step,
+                        draw_kick, run_chain, wasserstein1)
 from pe3d.norms import norm_H, norm_report, norm_V, norm_V_K
 from pe3d.projection import constraint_residual, project_H
+from pe3d.sampling import mode_sum, random_smooth_field
+
+
+def _lap2(xi):
+    """|lap xi|^2 from the field itself."""
+    lap = laplacian3(xi)
+    return float(np.sum((lap.u1 ** 2 + lap.u2 ** 2) * weights3(xi.grid)))
+
+
+#: a kick and a short chain at 24^3; prints their bytes' hashes and kick_V2
+_THREADS_SCRIPT = """\
+import hashlib
+import numpy as np
+from pe3d.dynamics import SimulationParams
+from pe3d.grid import GridSpec
+from pe3d.kicks import KickConfig, chain_rng, draw_kick, run_chain
 from pe3d.sampling import random_smooth_field
+grid = GridSpec(n1=24, n2=24, nz=24)
+cfg = KickConfig(T=0.01, R=0.25, n_modes=3, seed=5, N=3, burn_in=0)
+d = draw_kick(chain_rng(cfg, 0), grid, cfg)
+tr = run_chain(cfg, SimulationParams(dt_max=5e-3),
+               random_smooth_field(np.random.default_rng(1), grid))
+rows = np.column_stack([tr.H2, tr.E2, tr.J, tr.K, tr.kick_V2])
+print(hashlib.sha256(d.xi.data.tobytes()).hexdigest(), repr(d.V2),
+      hashlib.sha256(rows.tobytes()).hexdigest())
+"""
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +74,9 @@ class TestKickDraws:
         rng = chain_rng(kick_cfg, 0)
         for _ in range(100):
             d = draw_kick(rng, grid6, kick_cfg)
-            lap = laplacian3(d.xi)
-            lap2 = float(np.sum((lap.u1 ** 2 + lap.u2 ** 2) * weights3(grid6)))
-            assert lap2 <= kick_cfg.R * (1.0 + 1e-12)
+            assert _lap2(d.xi) <= kick_cfg.R * (1.0 + 1e-12)
             assert d.V2 <= kick_cfg.R * (1.0 + 1e-12)
+            assert d.V2 == pytest.approx(norm_V(d.xi) ** 2, rel=1e-12)
 
     def test_kicks_live_in_H(self, grid6, kick_cfg):
         xi = draw_kick(chain_rng(kick_cfg, 1), grid6, kick_cfg).xi
@@ -66,6 +92,39 @@ class TestKickDraws:
         a = draw_kick(chain_rng(kick_cfg, 2), grid6, kick_cfg).xi
         b = draw_kick(chain_rng(kick_cfg, 2), grid6, kick_cfg).xi
         assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("grid", [GridSpec(n1=8, n2=8, nz=8),
+                                      GridSpec(L1=1.5, L2=0.8, h=1.2,
+                                               n1=12, n2=10, nz=7)])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_grams_are_the_norms_of_the_mode_sums(self, grid, n_modes):
+        # c^T G c against the norms of the field mode_sum(c) builds
+        g_lap, g_V = _grams(grid, n_modes)
+        rng = np.random.default_rng(n_modes)
+        for _ in range(5):
+            c = rng.standard_normal(n_modes ** 3)
+            xi = mode_sum(grid, n_modes, c)
+            assert c @ g_lap @ c == pytest.approx(_lap2(xi), rel=1e-12)
+            assert c @ g_V @ c == pytest.approx(norm_V(xi) ** 2, rel=1e-12)
+
+    def test_V_cap_binds_on_a_large_box(self):
+        # on a box of side 16 the V norm exceeds the Laplacian norm, so the
+        # V-norm safeguard rescales some draws; every draw's V2 is the
+        # V norm of its field, and both bounds hold on the field
+        grid = GridSpec(L1=16.0, L2=16.0, h=16.0, n1=6, n2=6, nz=6)
+        cfg = KickConfig(T=0.1, R=0.25, n_modes=2, seed=1)
+        rng = chain_rng(cfg, 0)
+        draws = [draw_kick(rng, grid, cfg) for _ in range(20)]
+        assert any(d.V2 == cfg.R and d.rescaled for d in draws)
+        for d in draws:
+            assert d.V2 == pytest.approx(norm_V(d.xi) ** 2, rel=1e-12)
+            assert norm_V(d.xi) ** 2 <= cfg.R * (1.0 + 1e-12)
+            assert _lap2(d.xi) <= cfg.R * (1.0 + 1e-12)
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        out = [run_with_blas_threads(_THREADS_SCRIPT, threads)
+               for threads in ("1", "2")]
+        assert out[0] == out[1]
 
 
 class TestChain:
@@ -89,6 +148,22 @@ class TestChain:
             assert (trace.H2[i], trace.E2[i], trace.K[i]) == (norm_H(X) ** 2, V ** 2, K)
             assert trace.J[i] == norm_report(X).J
             assert (trace.kick_V2[i], trace.rescaled[i]) == (draw.V2, draw.rescaled)
+
+    def test_one_projection_per_chain_step(self, grid6, kick_cfg, params,
+                                           monkeypatch):
+        # project_H runs on the chain's start and on each solve_S input;
+        # a step projects its own solve in place
+        calls = []
+
+        def counting(w):
+            calls.append(1)
+            return project_H(w)
+
+        for mod in (dynamics, kicks):
+            monkeypatch.setattr(mod, "project_H", counting)
+        run_chain(kick_cfg, params,
+                  random_smooth_field(np.random.default_rng(5), grid6))
+        assert len(calls) == kick_cfg.N + 1
 
     def test_chain_indices_decorrelate(self, grid6, kick_cfg, params):
         v0 = random_smooth_field(np.random.default_rng(0), grid6)
