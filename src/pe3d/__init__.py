@@ -5,7 +5,7 @@ Submodules:
     grid         grid geometry, difference operators, quadrature weights
     fields       horizontal velocity fields, boundary conditions, diagnostics
     norms        H / V / L6 norms and norm reports
-    projection   constraint projection, operator A and its smallest eigenvalue
+    projection   constraint projection onto the discrete space H
     sampling     smooth constraint-compatible field construction
     dynamics     nonlinear term, IMEX stepper, the integration loop, S(t)
     verification manufactured-solution convergence ladders

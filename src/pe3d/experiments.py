@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dynamics import SimulationParams
 from .errors import DivergenceError, InputError, SolverError
 from .estimates import (TrajectoryDiagnostics, check_growth_bound,
                         continuity_probe, detect_absorbing, eta_partition,
@@ -118,13 +117,19 @@ def _write_json(path, obj) -> None:
 # Shared setup
 # ---------------------------------------------------------------------------
 
-def _scaled_ic(grid: GridSpec, seed: int, target_E2: float) -> HorizontalField:
-    """Random smooth field in H rescaled so |v|_V^2 equals target_E2."""
+def _scaled_ic(grid: GridSpec, seed: int, target_E2: float,
+               key: str) -> HorizontalField:
+    """Random smooth field in H rescaled so |v|_V^2 equals target_E2, which
+    the config key ``key`` sets; an InputError naming it if that field would
+    overflow.  The check is float arithmetic, so it emits no numpy warning."""
     v = random_smooth_field(np.random.default_rng(seed), grid)
     if target_E2 == 0.0:
         return HorizontalField.zeros(grid)
-    E2 = norm_V(v) ** 2
-    return float(np.sqrt(target_E2 / E2)) * v
+    scale = float(np.sqrt(target_E2 / norm_V(v) ** 2))
+    if not np.isfinite(scale * float(np.abs(v.data).max())):
+        raise InputError(f"{key} too large: the initial field scaled to "
+                         f"|v|_V^2 = {target_E2:.6g} overflows float64")
+    return scale * v
 
 
 def _forcing_field(grid: GridSpec, seed: int, target_H2: float) -> HorizontalField | None:
@@ -141,11 +146,17 @@ def _forcing_field(grid: GridSpec, seed: int, target_H2: float) -> HorizontalFie
 
 def run_verify(cfg: RunConfig, outdir: Path) -> dict:
     # the ladder fixes its own grids and time steps; reject the keys it
-    # would otherwise parse and ignore
-    ignored = [f"grid.{f.name}" for f in fields(GridSpec)
-               if getattr(cfg.grid, f.name) != f.default]
-    ignored += [f"sim.{f.name}" for f in fields(SimulationParams)
-                if f.name != "nu" and getattr(cfg.sim, f.name) != f.default]
+    # would otherwise parse and ignore (kick.seed excepted: run_experiment's
+    # seed argument sets it for every experiment)
+    read = {"sim.nu", "kick.seed"}
+    ignored = [f"{section}.{f.name}"
+               for section, block in (("grid", cfg.grid), ("sim", cfg.sim),
+                                      ("kick", cfg.kick), ("experiment", cfg.exp))
+               for f in fields(block)
+               if f"{section}.{f.name}" not in read
+               and getattr(block, f.name) != f.default]
+    if cfg.record_every != 1:
+        ignored.append("record_every")
     if ignored:
         raise InputError("verify reads only sim.nu from the config; remove "
                          + ", ".join(ignored))
@@ -164,7 +175,7 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
 def run_decay(cfg: RunConfig, outdir: Path) -> dict:
     T_V = []
     for i in range(cfg.exp.n_ic):
-        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + i, cfg.exp.R)
+        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + i, cfg.exp.R, "experiment.R")
         diag, _ = record_trajectory(v0, cfg.sim, cfg.record_every)
         write_trajectory_csv(outdir / f"decay_{i}.csv", diag)
         T_V.append(measure_decay_time(diag, cfg.exp.eps))
@@ -181,7 +192,7 @@ def run_absorb(cfg: RunConfig, outdir: Path) -> dict:
     forcing_at = (lambda t: f) if f is not None else None
     diags = []
     for i in range(cfg.exp.n_ic):
-        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + i, cfg.exp.R)
+        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + i, cfg.exp.R, "experiment.R")
         diag, _ = record_trajectory(v0, cfg.sim, cfg.record_every, forcing_at)
         write_trajectory_csv(outdir / f"absorb_{i}.csv", diag)
         diags.append(diag)
@@ -209,7 +220,7 @@ def measure_T_V(cfg: RunConfig) -> tuple[float, list[float]]:
     R = cfg.kick.R
     times = []
     for i in range(T_V_PROBES):
-        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 5000 + i, 4.0 * R)
+        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 5000 + i, 4.0 * R, "kick.R")
         diag, _ = record_trajectory(v0, cfg.sim)
         T = measure_decay_time(diag, R) if R > 0 else 0.0
         if T is None:
@@ -233,7 +244,7 @@ def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
     kc = replace(cfg.kick, T=T)
     traces = []
     for k in range(cfg.exp.n_chains):
-        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 100 + k, R)
+        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 100 + k, R, "kick.R")
         traces.append(run_chain(kc, cfg.sim, v0, chain_index=k))
         write_chain_csv(outdir / f"chain_{k}.csv", traces[-1])
     # each chain's post-burn-in E2 samples, cut into N_WINDOWS equal windows
@@ -295,7 +306,7 @@ def run_diag(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def run_probe(cfg: RunConfig, outdir: Path) -> dict:
-    v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 1, cfg.exp.R)
+    v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 1, cfg.exp.R, "experiment.R")
     w = random_smooth_field(np.random.default_rng(cfg.kick.seed + 2), cfg.grid)
     ratios = continuity_probe(v0, w, list(cfg.exp.deltas), cfg.exp.probe_t, cfg.sim)
     spread = max(ratios) / min(ratios)

@@ -3,11 +3,8 @@
 ``DIRICHLET_FACES`` is the one list of the faces where v = 0 (the sides
 and the bottom): ``zero_dirichlet`` zeroes them in place, ``apply_bc`` on a
 copy, and ``bc_residual`` reads them.  The top face is Neumann and is never
-assigned.  ``laplacian3`` reads the grid from the field and does not check
-its boundary values; every caller in the package passes a BC-clean field.
-It differentiates both components as one 4D array, one matmul per axis
-(``grid.along``).  The diagnostic vertical velocity is built where it is
-used, in ``dynamics``, from the step's own horizontal derivatives.
+assigned.  The diagnostic vertical velocity is built where it is used, in
+``dynamics``, from the step's own horizontal derivatives.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .grid import GridSpec, laplacian_bc
+from .grid import GridSpec
 
 
 @dataclass
@@ -96,12 +93,4 @@ def bc_residual(v: HorizontalField) -> float:
     residual in the even-reflection convention is identically zero and is
     not reported separately."""
     return max(float(np.abs(v.data[face]).max()) for face in DIRICHLET_FACES)
-
-
-def laplacian3(v: HorizontalField) -> HorizontalField:
-    """Component-wise 7-point Laplacian with the boundary conditions baked
-    into the ghost values (odd reflection across Dirichlet faces, even
-    reflection across the top); both components go through each of the
-    three per-axis matrices together, as one 4D array."""
-    return HorizontalField(laplacian_bc(v.data, v.grid), v.grid)
 

@@ -74,9 +74,6 @@ class GridSpec:
     def z(self) -> np.ndarray:
         return np.linspace(-self.h, 0.0, self.nz + 1)
 
-    def meshgrid(self):
-        return np.meshgrid(self.x(), self.y(), self.z(), indexing="ij")
-
 
 def _trapezoid_weights(n: int, d: float) -> np.ndarray:
     w = np.full(n + 1, d)

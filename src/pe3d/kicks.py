@@ -26,7 +26,6 @@ from .errors import InputError
 from .fields import HorizontalField
 from .grid import GridSpec, _trapezoid_weights, along, diff_matrix, weights2
 from .norms import _report
-from .projection import project_H
 from .sampling import mode_factors, mode_sum
 
 
@@ -148,11 +147,11 @@ class ChainTrace:
 def run_chain(config: KickConfig, params: SimulationParams,
               v0: HorizontalField, chain_index: int = 0) -> ChainTrace:
     """Iterate the chain N times from project_H(v0) and record rows
-    n = 1..N."""
+    n = 1..N; the first step's ``solve_S`` does that projection."""
     if config.T <= 0:
         raise InputError("run_chain: inter-kick time T must be positive "
                          "(T = 0 in a config means: measure T_V first)")
-    X, rng = project_H(v0), chain_rng(config, chain_index)
+    X, rng = v0, chain_rng(config, chain_index)
     rows = []
     for n in range(1, config.N + 1):
         X, draw = chain_step(X, rng, config, params)

@@ -1,4 +1,4 @@
-"""Norms and inner products used by the a priori estimates.
+"""Norms used by the a priori estimates.
 
 All quadratures share the trapezoid-product weights W from the grid module.
 The norms of a state are one weighted pass, ``_sums``, over both components
@@ -6,10 +6,9 @@ as one 4D array: scaled once, fs = W^(1/2) v, every weighted sum of squares
 is a dot product and every one-sided derivative of fs is one ``grid.along``
 with a weight-conjugated matrix (``grid.weighted_gradient``).  E2 takes
 three; the z-derivative gives K and feeds Kbar's three.  norm_H is the dot
-product of fs; norm_V_K (the chain's pair) and norm_report read the pass,
-and norm_V is norm_V_K's first entry.  K's sum is one summand of E2's, so
-K^2 <= E2 exactly.  The sums run in a fixed order for any BLAS thread
-count (``_sumsq``), hence bitwise deterministic.
+product of fs; norm_V and norm_report read the pass.  K's sum is one
+summand of E2's, so K^2 <= E2 exactly.  The sums run in a fixed order for
+any BLAS thread count (``_sumsq``), hence bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -20,14 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .fields import HorizontalField
-from .grid import along, weighted_gradient, weights3
-
-
-def inner_H(u: HorizontalField, w: HorizontalField) -> float:
-    if u.data.shape != w.data.shape:
-        raise InputError(f"field shapes differ: {u.data.shape} vs {w.data.shape}")
-    vol = weights3(u.grid)
-    return float(np.sum((u.u1 * w.u1 + u.u2 * w.u2) * vol))
+from .grid import along, weighted_gradient
 
 
 def _sumsq(a: np.ndarray) -> float:
@@ -60,14 +52,8 @@ def _sums(v: HorizontalField, kbar: bool) -> tuple[float, ...]:
     return _sumsq(fs), sV, _sumsq(cube), sK, sKbar
 
 
-def norm_V_K(v: HorizontalField) -> tuple[float, float]:
-    """The V norm and K, the L2 norm of the z-derivative."""
-    _, sV, _, sK, _ = _sums(v, kbar=False)
-    return float(np.sqrt(sV)), float(np.sqrt(sK))
-
-
 def norm_V(v: HorizontalField) -> float:
-    return norm_V_K(v)[0]
+    return float(np.sqrt(_sums(v, kbar=False)[1]))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""Projection onto vertically-averaged divergence-free fields, and the
-operator A with its smallest eigenvalue.
+"""Projection onto vertically-averaged divergence-free fields.
 
 The projection is realized as the exact orthogonal projection (in the
 weighted H inner product, within the subspace of fields vanishing on the
@@ -15,8 +14,7 @@ differences, the interior blocks of ``grid.diff_matrix("sbp", ...)``.  It
 is solved by fast diagonalization from per-grid cached eigenpairs.
 Exactness of the adjoint construction is what delivers idempotence,
 orthogonality, norm contraction, and the constraint residual at solver
-precision.  The inverse power iteration for the smallest eigenvalue of A
-starts from the lowest mode sum of ``sampling``.
+precision.
 """
 
 from __future__ import annotations
@@ -25,24 +23,12 @@ import functools
 
 import numpy as np
 
-from .errors import InputError, SolverError
-from .fields import HorizontalField, apply_bc, laplacian3
-from .grid import (GridSpec, diff_matrix, div2, vertical_integral, weights2,
-                   weights3)
-from .linalg import weighted_cg
-from .norms import inner_H, norm_H
-from .sampling import mode_sum
-
-#: default absolute tolerance on the constraint residual of projected fields
-PROJ_TOL = 1e-8
+from .errors import InputError
+from .fields import HorizontalField, apply_bc
+from .grid import GridSpec, diff_matrix, div2, vertical_integral, weights2
 
 #: Schur eigenvalues at most this fraction of the largest are the zero mode
 _ZERO_MODE_RTOL = 1e-10
-
-#: smallest_eigenvalue_A stops once the Rayleigh quotient moves by at most
-#: RQ_TOL relative, and gives up after MAX_OUTER inverse-power steps
-RQ_TOL = 1e-8
-MAX_OUTER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -126,46 +112,3 @@ def _project_in_place(v: HorizontalField) -> HorizontalField:
     v.data[1, 1:-1, 1:-1, 1:] -= (lam @ Dy / scale)[:, :, None]
     return v
 
-
-# ---------------------------------------------------------------------------
-# The operator A and its smallest eigenvalue
-# ---------------------------------------------------------------------------
-
-def apply_A(v: HorizontalField) -> HorizontalField:
-    """A = - (projection of the BC-aware Laplacian)."""
-    lap = laplacian3(v)
-    return project_H(HorizontalField(-lap.data, v.grid))
-
-
-def smallest_eigenvalue_A(grid: GridSpec) -> float:
-    """Smallest eigenvalue of A by inverse power iteration; each step is one
-    implicit solve with apply_A (weighted CG), iterated until the Rayleigh
-    quotient settles to RQ_TOL relative."""
-    vol = weights3(grid)[None, :, :, :]
-
-    def apply_op(data):
-        return apply_A(HorizontalField(data, grid)).data
-
-    x = project_H(mode_sum(grid, 1, np.ones(1))).data
-    x /= np.sqrt(np.sum(vol * x * x))
-    rho_old = np.inf
-    for _ in range(MAX_OUTER):
-        y = weighted_cg(apply_op, x, vol, rel_tol=1e-10,
-                        max_iter=50 * max(grid.n1, grid.n2, grid.nz) ** 2,
-                        label="inverse-power")
-        # Rayleigh quotient of the new iterate: <x, x> / <x, y> since Ay = x
-        rho = float(np.sum(vol * x * x) / np.sum(vol * x * y))
-        y = project_H(HorizontalField(y, grid)).data
-        x = y / np.sqrt(np.sum(vol * y * y))
-        if abs(rho - rho_old) <= RQ_TOL * abs(rho):
-            if rho <= 0:
-                raise SolverError("inverse power iteration produced a nonpositive eigenvalue")
-            return rho
-        rho_old = rho
-    raise SolverError("inverse power iteration did not converge", abs(rho - rho_old))
-
-
-def rayleigh_quotient(v: HorizontalField) -> float:
-    """<A v, v> / <v, v>; an upper bound for the smallest eigenvalue."""
-    vp = project_H(v)
-    return inner_H(apply_A(vp), vp) / max(norm_H(vp) ** 2, 1e-300)

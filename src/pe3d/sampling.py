@@ -5,8 +5,8 @@ gradients of 2D stream functions times vertical profiles.  Because the
 perpendicular gradient uses the same difference stencils as div2, the
 horizontal divergence vanishes identically at every level (discrete
 curl-gradient identity), so these fields lie in the discrete space H by
-construction.  Kicks, random initial fields and the seed of the eigenvalue
-iteration are all mode sums.
+construction.  Kicks, random initial fields and forcing fields are all
+mode sums.
 
 Every term is a tensor product of a 2D factor and a vertical profile, so
 ``mode_factors`` caches per (grid, mode count) the stacked 2D factors, the

@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 
 import pe3d
+from pe3d.errors import InputError, SolverError
 from pe3d.fields import HorizontalField
-from pe3d.grid import GridSpec
+from pe3d.grid import GridSpec, laplacian_bc, weights3
+from pe3d.linalg import weighted_cg
+from pe3d.projection import project_H
+from pe3d.sampling import mode_sum
+
+#: absolute tolerance on the constraint residual of projected fields
+PROJ_TOL = 1e-8
 
 
 def run_with_blas_threads(script: str, threads: str) -> str:
@@ -44,6 +51,55 @@ def rng() -> np.random.Generator:
 def raw_field(grid: GridSpec, rng: np.random.Generator) -> HorizontalField:
     """A raw Gaussian field with no boundary or constraint structure."""
     return HorizontalField(rng.standard_normal((2,) + grid.shape), grid)
+
+
+def meshgrid(grid: GridSpec):
+    """The node coordinates X, Y, Z, each of shape ``grid.shape``."""
+    return np.meshgrid(grid.x(), grid.y(), grid.z(), indexing="ij")
+
+
+# the operator A and the H inner product through the trapezoid weights: the
+# oracles of the decay rate and of the projection's orthogonality
+
+def inner_H(u: HorizontalField, w: HorizontalField) -> float:
+    if u.data.shape != w.data.shape:
+        raise InputError(f"field shapes differ: {u.data.shape} vs {w.data.shape}")
+    vol = weights3(u.grid)
+    return float(np.sum((u.u1 * w.u1 + u.u2 * w.u2) * vol))
+
+
+def apply_A(v: HorizontalField) -> HorizontalField:
+    """A = - (projection of the BC-aware Laplacian)."""
+    return project_H(HorizontalField(-laplacian_bc(v.data, v.grid), v.grid))
+
+
+def smallest_eigenvalue_A(grid: GridSpec) -> float:
+    """Smallest eigenvalue of A by inverse power iteration from the lowest
+    mode sum; each step is one implicit solve with apply_A (weighted CG),
+    iterated until the Rayleigh quotient moves by at most 1e-8 relative,
+    for at most 200 steps."""
+    vol = weights3(grid)[None, :, :, :]
+
+    def apply_op(data):
+        return apply_A(HorizontalField(data, grid)).data
+
+    x = project_H(mode_sum(grid, 1, np.ones(1))).data
+    x /= np.sqrt(np.sum(vol * x * x))
+    rho_old = np.inf
+    for _ in range(200):
+        y = weighted_cg(apply_op, x, vol, rel_tol=1e-10,
+                        max_iter=50 * max(grid.n1, grid.n2, grid.nz) ** 2,
+                        label="inverse-power")
+        # Rayleigh quotient of the new iterate: <x, x> / <x, y> since Ay = x
+        rho = float(np.sum(vol * x * x) / np.sum(vol * x * y))
+        y = project_H(HorizontalField(y, grid)).data
+        x = y / np.sqrt(np.sum(vol * y * y))
+        if abs(rho - rho_old) <= 1e-8 * abs(rho):
+            if rho <= 0:
+                raise SolverError("inverse power iteration produced a nonpositive eigenvalue")
+            return rho
+        rho_old = rho
+    raise SolverError("inverse power iteration did not converge", abs(rho - rho_old))
 
 
 # the 1D difference stencils written with np.moveaxis round trips: the

@@ -11,7 +11,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from conftest import raw_field
+from conftest import PROJ_TOL, inner_H, raw_field, smallest_eigenvalue_A
 from pe3d.dynamics import SimState, SimulationParams, step
 from pe3d.estimates import (check_growth_bound, detect_absorbing,
                             eta_partition, fit_growth_constant,
@@ -20,9 +20,8 @@ from pe3d.estimates import (check_growth_bound, detect_absorbing,
 from pe3d.fields import HorizontalField, apply_bc
 from pe3d.grid import GridSpec
 from pe3d.kicks import KickConfig, run_chain, wasserstein1
-from pe3d.norms import inner_H, norm_H, norm_report, norm_V
-from pe3d.projection import (PROJ_TOL, constraint_residual, project_H,
-                             smallest_eigenvalue_A)
+from pe3d.norms import norm_H, norm_report, norm_V
+from pe3d.projection import constraint_residual, project_H
 from pe3d.sampling import random_smooth_field
 from pe3d.verification import verify_manufactured
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raw_field, ref_second_diff, run_with_blas_threads
+from conftest import inner_H, raw_field, ref_second_diff, run_with_blas_threads
 from pe3d import dynamics, norms
 from pe3d import grid as grid_mod
 from pe3d.dynamics import (SimState, SimulationParams, _derivatives_w3,
@@ -18,7 +18,7 @@ from pe3d.errors import DivergenceError, InputError, SolverError
 from pe3d.fields import HorizontalField, apply_bc, zero_dirichlet
 from pe3d.grid import GridSpec, along, diff_matrix, diff_sbp
 from pe3d.kicks import KickConfig, run_chain
-from pe3d.norms import inner_H, norm_H, norm_V, norm_report
+from pe3d.norms import norm_H, norm_V, norm_report
 from pe3d.projection import project_H
 from pe3d.sampling import random_smooth_field
 

@@ -12,6 +12,7 @@ from pe3d.errors import DivergenceError
 from pe3d.experiments import (CHAIN_HEADER, N_WINDOWS, TRAJECTORY_HEADER,
                               measure_T_V, run_experiment)
 from pe3d.kicks import wasserstein1
+from pe3d.verification import ConvergenceReport
 
 
 TINY = """
@@ -99,6 +100,19 @@ class TestFailurePaths:
         assert set(fail["diagnostics"]) == {"t", "step", "dt", "H_before"}
         assert fail["diagnostics"]["step"] > 0
 
+    @pytest.mark.parametrize("R", ["6e307", "1e308"])
+    def test_overflowing_R_names_the_key(self, tmp_path, R):
+        # the scaled initial field would not be finite: an input error that
+        # names the key, raised before any numpy warning (warnings are
+        # errors in this suite)
+        cfg = _cfg(TINY.replace("R = 0.5", f"R = {R}"))
+        assert run_experiment(cfg, output=str(tmp_path)) == 3
+        fail = json.loads((tmp_path / "failure.json").read_text())
+        assert fail["kind"] == "error"
+        assert "experiment.R" in fail["detail"]
+        assert "overflows" in fail["detail"]
+        assert not (tmp_path / "decay_0.csv").exists()
+
     def test_unexpected_exception_recorded_and_reraised(self, tmp_path, monkeypatch):
         def broken(cfg, outdir):
             raise KeyError("missing")
@@ -120,6 +134,32 @@ class TestVerifyDriver:
         assert fail["kind"] == "error"
         assert "grid.n1" in fail["detail"]
         assert not (tmp_path / "convergence.json").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("[kick]\nN = 500\n", "kick.N"),
+        ("[experiment]\nR = 2\n", "experiment.R"),
+        ("record_every = 3\n", "record_every"),
+    ], ids=["kick.N", "experiment.R", "record_every"])
+    def test_ignored_key_exits_3(self, tmp_path, text, key):
+        cfg = _cfg(f"experiment = verify\n{text}")
+        assert run_experiment(cfg, output=str(tmp_path)) == 3
+        fail = json.loads((tmp_path / "failure.json").read_text())
+        assert key in fail["detail"]
+        assert not (tmp_path / "convergence.json").exists()
+
+    def test_seed_argument_passes_the_key_check(self, tmp_path, monkeypatch):
+        # run_experiment's seed sets kick.seed, which verify never reads
+        calls = []
+
+        def ladder(nu):
+            calls.append(nu)
+            return ConvergenceReport([12, 24], [1.0, 0.25], [2.0],
+                                     [0.01, 0.005], [1.0, 0.5], [1.0])
+
+        monkeypatch.setattr(experiments, "verify_manufactured", ladder)
+        cfg = _cfg("experiment = verify\n[sim]\nnu = 1.0\n")
+        assert run_experiment(cfg, seed=7919, output=str(tmp_path)) == 0
+        assert calls == [1.0]
 
 
 class TestDiagDriver:

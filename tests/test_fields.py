@@ -4,7 +4,7 @@ velocity, and the smooth-field sampler."""
 import numpy as np
 import pytest
 
-from conftest import raw_field, ref_sbp
+from conftest import meshgrid, raw_field, ref_sbp
 from pe3d.dynamics import _derivatives_w3
 from pe3d.errors import InputError
 from pe3d.fields import (DIRICHLET_FACES, HorizontalField, apply_bc,
@@ -156,7 +156,7 @@ class TestU3Diagnostic:
         # the one-sided x-boundary rows
         def err(n):
             grid = GridSpec(n1=n, n2=n, nz=n)
-            X, _, Z = grid.meshgrid()
+            X, _, Z = meshgrid(grid)
             g = np.cos(np.pi * Z / 2.0)
             v = HorizontalField(np.stack([np.sin(np.pi * X) * g,
                                           np.zeros(grid.shape)]), grid)

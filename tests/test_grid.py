@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from pe3d.errors import InputError
-from conftest import REFERENCES
+from conftest import REFERENCES, meshgrid
 from pe3d.grid import (STENCILS, GridSpec, along, cumulative_z_integral,
                        diff_matrix, diff_sbp, div2,
                        laplacian_bc, vertical_integral, weights2, weights3)
@@ -53,7 +53,7 @@ class TestQuadrature:
 
 class TestDifferenceOperators:
     def test_sbp_exact_on_linear(self, grid12):
-        X, Y, Z = grid12.meshgrid()
+        X, Y, Z = meshgrid(grid12)
         f = 2.0 * X - 3.0 * Y + 0.5 * Z
         assert np.allclose(diff_sbp(f, grid12.d1, 0), 2.0, atol=1e-12)
         assert np.allclose(diff_sbp(f, grid12.d2, 1), -3.0, atol=1e-12)
@@ -145,7 +145,7 @@ class TestDifferenceOperators:
             assert np.all(np.abs(laplacian_bc(f, grid12) - ref) <= 16.0 * EPS * scale)
 
     def test_onesided2_exact_on_quadratics(self, grid12):
-        X, _, _ = grid12.meshgrid()
+        X, _, _ = meshgrid(grid12)
         f = 1.0 + X + 0.5 * X ** 2
         d = along(diff_matrix("onesided2", grid12.n1, grid12.d1), f, 0)
         assert np.allclose(d, 1.0 + X, atol=1e-10)

@@ -9,22 +9,22 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import wasserstein_distance
 
 from conftest import run_with_blas_threads
-from pe3d import dynamics, kicks
+from pe3d import dynamics
 from pe3d.dynamics import SimulationParams, solve_S
 from pe3d.errors import InputError
-from pe3d.fields import bc_residual, laplacian3
-from pe3d.grid import GridSpec, weights3
+from pe3d.fields import bc_residual
+from pe3d.grid import GridSpec, laplacian_bc, weights3
 from pe3d.kicks import (KickConfig, _grams, chain_rng, chain_step,
                         draw_kick, run_chain, wasserstein1)
-from pe3d.norms import norm_H, norm_report, norm_V, norm_V_K
+from pe3d.norms import _report, norm_H, norm_report, norm_V
 from pe3d.projection import constraint_residual, project_H
 from pe3d.sampling import mode_sum, random_smooth_field
 
 
 def _lap2(xi):
     """|lap xi|^2 from the field itself."""
-    lap = laplacian3(xi)
-    return float(np.sum((lap.u1 ** 2 + lap.u2 ** 2) * weights3(xi.grid)))
+    lap = laplacian_bc(xi.data, xi.grid)
+    return float(np.sum((lap[0] ** 2 + lap[1] ** 2) * weights3(xi.grid)))
 
 
 #: a kick and a short chain at 24^3; prints their bytes' hashes and kick_V2
@@ -141,17 +141,17 @@ class TestChain:
         # X_n, bit for bit, and the draw that made it
         v0 = random_smooth_field(np.random.default_rng(4), grid6)
         trace = run_chain(kick_cfg, params, v0, chain_index=2)
-        X, rng = project_H(v0), chain_rng(kick_cfg, 2)
+        X, rng = v0, chain_rng(kick_cfg, 2)
         for i in range(kick_cfg.N):
             X, draw = chain_step(X, rng, kick_cfg, params)
-            V, K = norm_V_K(X)
-            assert (trace.H2[i], trace.E2[i], trace.K[i]) == (norm_H(X) ** 2, V ** 2, K)
+            assert (trace.H2[i], trace.E2[i], trace.K[i]) == (
+                norm_H(X) ** 2, norm_V(X) ** 2, _report(X, kbar=False).K)
             assert trace.J[i] == norm_report(X).J
             assert (trace.kick_V2[i], trace.rescaled[i]) == (draw.V2, draw.rescaled)
 
     def test_one_projection_per_chain_step(self, grid6, kick_cfg, params,
                                            monkeypatch):
-        # project_H runs on the chain's start and on each solve_S input;
+        # project_H runs on each solve_S input, the chain's start included;
         # a step projects its own solve in place
         calls = []
 
@@ -159,11 +159,10 @@ class TestChain:
             calls.append(1)
             return project_H(w)
 
-        for mod in (dynamics, kicks):
-            monkeypatch.setattr(mod, "project_H", counting)
+        monkeypatch.setattr(dynamics, "project_H", counting)
         run_chain(kick_cfg, params,
                   random_smooth_field(np.random.default_rng(5), grid6))
-        assert len(calls) == kick_cfg.N + 1
+        assert len(calls) == kick_cfg.N
 
     def test_chain_indices_decorrelate(self, grid6, kick_cfg, params):
         v0 = random_smooth_field(np.random.default_rng(0), grid6)

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raw_field
+from conftest import (PROJ_TOL, apply_A, inner_H, raw_field,
+                      smallest_eigenvalue_A)
 from pe3d.errors import InputError
 from pe3d.fields import HorizontalField, apply_bc, bc_residual
 from pe3d.grid import GridSpec, vertical_integral, weights2
-from pe3d.norms import inner_H, norm_H, norm_V
-from pe3d.projection import (PROJ_TOL, _schur_solve, apply_A,
-                             constraint_residual, project_H,
-                             rayleigh_quotient, smallest_eigenvalue_A)
+from pe3d.norms import norm_H, norm_V
+from pe3d.projection import _schur_solve, constraint_residual, project_H
 from pe3d.sampling import random_smooth_field
 
 
@@ -167,9 +166,10 @@ class TestOperatorA:
     def test_smallest_eigenvalue(self, grid8):
         lam = smallest_eigenvalue_A(grid8)
         assert lam > 0.0
-        # any probe field's Rayleigh quotient bounds it from above
-        probe = random_smooth_field(np.random.default_rng(3), grid8)
-        assert lam <= rayleigh_quotient(probe) * (1.0 + 1e-6)
+        # any probe field's Rayleigh quotient <A p, p> / |p|_H^2 bounds it
+        # from above
+        p = project_H(random_smooth_field(np.random.default_rng(3), grid8))
+        assert lam <= inner_H(apply_A(p), p) / norm_H(p) ** 2 * (1.0 + 1e-6)
 
     def test_eigenvalue_stable_under_refinement(self, grid8):
         lam8 = smallest_eigenvalue_A(grid8)

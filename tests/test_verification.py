@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sym
 
+from conftest import meshgrid
 from pe3d.grid import GridSpec
 from pe3d.verification import (ConvergenceReport, _run_case, _solution,
                                _source)
@@ -47,7 +48,7 @@ class TestAnalyticSpec:
     @pytest.mark.parametrize("t", [0.0, 0.0123, 0.2])
     def test_tables_match_symbolic_source(self, oracle, t):
         grid, nu, (fv, fs) = oracle
-        X, Y, Z = grid.meshgrid()
+        X, Y, Z = meshgrid(grid)
         for funcs, mine in ((fv, _solution(grid, t)),
                             (fs, _source(grid, nu, t))):
             ref = np.stack([np.broadcast_to(f(X, Y, Z, t), grid.shape)
