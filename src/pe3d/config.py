@@ -38,6 +38,10 @@ class ExperimentBlock:
             raise InputError("experiment.window_frac must lie in (0, 1]")
         if any(d <= 0 for d in self.deltas):
             raise InputError("experiment.deltas must be positive")
+        if not self.f_H2 >= 0.0:
+            raise InputError("experiment.f_H2 must be >= 0")
+        if not self.probe_t > 0.0:
+            raise InputError("experiment.probe_t must be > 0")
 
 
 @dataclass(frozen=True)
@@ -64,25 +68,23 @@ def _parse_floats(s: str) -> tuple[float, ...]:
         raise InputError(str(e))
 
 
-_TOP_SCHEMA = {
-    "experiment": str,
-    "output_dir": str,
-    "record_every": int,
-}
 #: config section -> (RunConfig attribute, the dataclass it holds)
 _SECTIONS = {"grid": ("grid", GridSpec), "sim": ("sim", SimulationParams),
              "kick": ("kick", KickConfig), "experiment": ("exp", ExperimentBlock)}
 _PARSERS = {float: float, int: int, str: str, tuple[float, ...]: _parse_floats}
 
 
-def _schema(cls) -> dict:
-    """Key -> value parser for each field of a section dataclass, so a
-    config key exists exactly when a field does."""
+def _schema(cls, skip=()) -> dict:
+    """Key -> value parser for each field of a dataclass but those in
+    ``skip``, so a config key exists exactly when a field does."""
     hints = get_type_hints(cls)
-    return {f.name: _PARSERS[hints[f.name]] for f in dc_fields(cls)}
+    return {f.name: _PARSERS[hints[f.name]] for f in dc_fields(cls)
+            if f.name not in skip}
 
 
 _SECTION_SCHEMA = {name: _schema(cls) for name, (_, cls) in _SECTIONS.items()}
+#: RunConfig's scalar fields: the keys above the first section header
+_TOP_SCHEMA = _schema(RunConfig, skip={attr for attr, _ in _SECTIONS.values()})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -120,9 +122,7 @@ def parse_config(text: str) -> RunConfig:
     if "experiment" not in top:
         raise InputError("missing required top-level key 'experiment'")
     return RunConfig(
-        experiment=top["experiment"],
-        output_dir=top.get("output_dir", "pe3d_out"),
-        record_every=top.get("record_every", 1),
+        **top,
         **{attr: cls(**sections[name]) for name, (attr, cls) in _SECTIONS.items()})
 
 
@@ -135,9 +135,7 @@ def _fmt(v) -> str:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    lines = [f"experiment = {cfg.experiment}",
-             f"output_dir = {cfg.output_dir}",
-             f"record_every = {cfg.record_every}", ""]
+    lines = [f"{key} = {_fmt(getattr(cfg, key))}" for key in _TOP_SCHEMA] + [""]
     for section, (attr, _) in _SECTIONS.items():
         obj = getattr(cfg, attr)
         lines.append(f"[{section}]")

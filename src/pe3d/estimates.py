@@ -9,7 +9,10 @@ The growth bound audited here is
 on intervals [tau1, tau3] with |tau3 - tau1| <= 1 and the trapezoidal
 integral of E2 at most eta.  The constant C is not analytic: it is fitted
 per configuration as the smallest value making the bound hold on recorded
-data, and tracked for stability across refinements.
+data, and tracked for stability across refinements.  C, eta and |f|_H^2
+are plain floats: the caller partitions a trajectory once with
+eta_partition and hands the intervals to both fit_growth_constant and
+check_growth_bound.
 """
 
 from __future__ import annotations
@@ -94,28 +97,15 @@ def record_trajectory(v0: HorizontalField, params: SimulationParams,
 # Growth control
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrowthParams:
-    C: float
-    eta: float = 0.05
-    f_H2: float = 0.0
-
-    def __post_init__(self):
-        if self.C < 0 or self.eta <= 0:
-            raise InputError("GrowthParams: C must be >= 0 and eta > 0")
-        if self.f_H2 < 0:
-            raise InputError("GrowthParams: f_H2 must be nonnegative")
-
-
-def gamma(y: float, gp: GrowthParams) -> float:
+def gamma(y: float, C: float, f_H2: float = 0.0) -> float:
     """The growth bound exp(C (1 + y)^4) * (y + f_H2); overflow clamps to
     +inf."""
     if y < 0:
         raise InputError("gamma: y must be nonnegative")
-    expo = gp.C * (1.0 + y) ** 4
+    expo = C * (1.0 + y) ** 4
     if expo > 700.0:
         return math.inf
-    return math.exp(expo) * (y + gp.f_H2)
+    return math.exp(expo) * (y + f_H2)
 
 
 def _trapz_E2(diag: TrajectoryDiagnostics, i: int, j: int) -> float:
@@ -161,12 +151,13 @@ def eta_partition(diag: TrajectoryDiagnostics, eta: float) -> list[EtaInterval]:
     return out
 
 
-def fit_growth_constant(diag: TrajectoryDiagnostics, eta: float,
-                        f_H2: float = 0.0) -> GrowthParams:
-    """Smallest C making the growth bound hold for every eta-interval
-    [tau1, tau3] and every sample tau2 inside it (max over samples of the
-    per-sample minimal C)."""
-    ivs = eta_partition(diag, eta)
+def fit_growth_constant(diag: TrajectoryDiagnostics, ivs: list[EtaInterval],
+                        f_H2: float = 0.0) -> float:
+    """Smallest C making the growth bound hold for every interval
+    [tau1, tau3] of the eta-partition ``ivs`` of ``diag`` and every sample
+    tau2 inside it (max over samples of the per-sample minimal C)."""
+    if f_H2 < 0:
+        raise InputError("fit_growth_constant: f_H2 must be nonnegative")
     if not ivs:
         raise InputError("fit_growth_constant: trajectory covers no full interval")
     C = 0.0
@@ -183,14 +174,15 @@ def fit_growth_constant(diag: TrajectoryDiagnostics, eta: float,
             ratio = val / base
             if ratio > 1.0:
                 C = max(C, math.log(ratio) / (1.0 + float(diag.E2[iv.i_start])) ** 4)
-    return GrowthParams(C=C, eta=eta, f_H2=f_H2)
+    return C
 
 
-def check_growth_bound(diag: TrajectoryDiagnostics, gp: GrowthParams) -> bool:
-    """Regression check: the bound with the fitted C holds on 100% of
-    (interval, tau2) samples."""
-    for iv in eta_partition(diag, gp.eta):
-        bound = gamma(float(diag.E2[iv.i_start]), gp)
+def check_growth_bound(diag: TrajectoryDiagnostics, ivs: list[EtaInterval],
+                       C: float, f_H2: float = 0.0) -> bool:
+    """Regression check: the bound with constant C holds on 100% of
+    (interval, tau2) samples of the eta-partition ``ivs`` of ``diag``."""
+    for iv in ivs:
+        bound = gamma(float(diag.E2[iv.i_start]), C, f_H2)
         for k in range(iv.i_start, iv.i_end + 1):
             if diag.E2[k] > bound * (1.0 + 1e-12) + 1e-300:
                 return False
@@ -205,7 +197,6 @@ def check_growth_bound(diag: TrajectoryDiagnostics, gp: GrowthParams) -> bool:
 class AbsorbReport:
     K_ball: float
     T_V: list[float]
-    stayed: list[bool]
     inconclusive: list[bool]
 
 
@@ -213,10 +204,12 @@ def detect_absorbing(diags: list[TrajectoryDiagnostics],
                      window: float) -> AbsorbReport:
     """K_ball = max over trajectories of the tail-window supremum of E2;
     per-trajectory T_V = first time after which E2 never exceeds K_ball
-    (scanned backward).  A trajectory whose tail maximum sits at the last
-    sample is flagged inconclusive (still trending upward); a tail that is
-    flat to relative rounding precision does not count as trending, since a
-    forced trajectory approaches its steady state from one side forever."""
+    (scanned backward).  Every tail lies in the ball by construction, so
+    whether trajectories stay in it is a question for a longer run.  A
+    trajectory whose tail maximum sits at the last sample is flagged
+    inconclusive (still trending upward); a tail that is flat to relative
+    rounding precision does not count as trending, since a forced
+    trajectory approaches its steady state from one side forever."""
     if not diags:
         raise InputError("detect_absorbing: no trajectories")
     K_ball = 0.0
@@ -230,15 +223,12 @@ def detect_absorbing(diags: list[TrajectoryDiagnostics],
         K_ball = max(K_ball, float(tail.max()))
         inconclusive.append(bool(np.argmax(tail) == len(tail) - 1
                                  and tail.max() > tail.min() * (1.0 + 1e-6)))
-    T_V, stayed = [], []
+    T_V = []
     for d in diags:
         above = d.E2 > K_ball * (1.0 + 1e-12)
         idx = np.flatnonzero(above)
         T_V.append(0.0 if len(idx) == 0 else float(d.t[idx[-1]]))
-        tail_mask = d.t >= d.t[-1] - window
-        stayed.append(bool(np.all(d.E2[tail_mask] <= K_ball * (1.0 + 1e-12))))
-    return AbsorbReport(K_ball=K_ball, T_V=T_V, stayed=stayed,
-                        inconclusive=inconclusive)
+    return AbsorbReport(K_ball=K_ball, T_V=T_V, inconclusive=inconclusive)
 
 
 def measure_decay_time(diag: TrajectoryDiagnostics, eps: float) -> float | None:

@@ -9,7 +9,8 @@ report.  run_experiment maps outcomes to exit codes:
     3  solver or input error
 
 All failures leave a diagnostic failure.json in the output directory: a
-DivergenceError adds its diagnostics, and any other exception is recorded
+DivergenceError adds its diagnostics, a SolverError that carries its final
+residual adds that residual, and any other exception is recorded
 with its type and message, then re-raised.  Every CSV and JSON artifact is
 written to a temp file and moved into place, so none is ever truncated.
 """
@@ -198,8 +199,6 @@ def run_absorb(cfg: RunConfig, outdir: Path) -> dict:
         diags.append(diag)
     rep = detect_absorbing(diags, window=cfg.exp.window_frac * cfg.sim.t_end)
     report = {**asdict(rep), "f_H2": cfg.exp.f_H2}
-    if not all(rep.stayed):
-        raise ExperimentFailure(f"trajectories left the ball: stayed={rep.stayed}")
     if any(rep.inconclusive):
         raise ExperimentFailure(
             f"tail still trending upward: inconclusive={rep.inconclusive}")
@@ -293,12 +292,12 @@ def run_diag(cfg: RunConfig, outdir: Path) -> dict:
     for path in paths:
         diag = read_trajectory_csv(path)
         ivs = eta_partition(diag, cfg.exp.eta)
-        gp = fit_growth_constant(diag, cfg.exp.eta, f_H2=cfg.exp.f_H2)
-        ok = check_growth_bound(diag, gp)
+        C = fit_growth_constant(diag, ivs, cfg.exp.f_H2)
+        ok = check_growth_bound(diag, ivs, C, cfg.exp.f_H2)
         all_ok = all_ok and ok
         entries.append({"path": path, "n_intervals": len(ivs),
                         "n_degenerate": sum(iv.degenerate for iv in ivs),
-                        "C": gp.C, "bound_holds": ok})
+                        "C": C, "bound_holds": ok})
     report = {"eta": cfg.exp.eta, "f_H2": cfg.exp.f_H2, "trajectories": entries}
     if not all_ok:
         raise ExperimentFailure("fitted growth bound violated on some trajectory")
@@ -346,6 +345,8 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
                    "detail": str(e)}
         if isinstance(e, DivergenceError):
             failure["diagnostics"] = e.diagnostics
+        elif isinstance(e, SolverError) and e.residual is not None:
+            failure["residual"] = e.residual
         _write_json(outdir / "failure.json", failure)
         print(f"ERROR ({cfg.experiment}): {e}")
         return 3

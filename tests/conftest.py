@@ -33,6 +33,24 @@ def run_with_blas_threads(script: str, threads: str) -> str:
                           check=True).stdout
 
 
+def count_calls_everywhere(monkeypatch, original) -> list:
+    """Point every pe3d module attribute bound to ``original`` at a wrapper
+    that records each call, so calls count whichever module's name for the
+    function the caller uses; returns the list that grows by one per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "pe3d" or name.startswith("pe3d.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def grid8() -> GridSpec:
     return GridSpec(n1=8, n2=8, nz=8)

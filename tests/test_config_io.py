@@ -84,6 +84,16 @@ class TestConfigParsing:
         with pytest.raises(InputError, match="line 2"):
             parse_config("experiment = decay\njust some words\n")
 
+    @pytest.mark.parametrize("entry, key", [
+        ("f_H2 = -0.1", "experiment.f_H2"),
+        ("probe_t = -0.5", "experiment.probe_t"),
+        ("probe_t = 0", "experiment.probe_t"),
+        ("f_H2 = nan", "experiment.f_H2"),
+    ])
+    def test_bad_experiment_value_names_the_key(self, entry, key):
+        with pytest.raises(InputError, match=key):
+            parse_config(MINIMAL + f"[experiment]\n{entry}\n")
+
     def test_deltas_list(self):
         cfg = parse_config(MINIMAL + "[experiment]\ndeltas = 1e-2,1e-4\n")
         assert cfg.exp.deltas == (1e-2, 1e-4)

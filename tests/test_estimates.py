@@ -9,7 +9,7 @@ import pytest
 from pe3d import estimates
 from pe3d.dynamics import SimulationParams, integrate
 from pe3d.errors import InputError
-from pe3d.estimates import (AbsorbReport, GrowthParams, TrajectoryDiagnostics,
+from pe3d.estimates import (AbsorbReport, TrajectoryDiagnostics,
                             check_growth_bound, continuity_probe,
                             detect_absorbing, eta_partition,
                             fit_growth_constant, gamma, measure_decay_time,
@@ -64,21 +64,19 @@ class TestTrajectoryDiagnostics:
 
 class TestGamma:
     def test_zero_C_is_affine(self):
-        gp = GrowthParams(C=0.0, f_H2=0.25)
-        assert gamma(2.0, gp) == pytest.approx(2.25)
+        assert gamma(2.0, 0.0, f_H2=0.25) == pytest.approx(2.25)
 
     def test_monotone_in_y(self):
-        gp = GrowthParams(C=0.3, f_H2=0.1)
         ys = np.linspace(0.0, 3.0, 20)
-        vals = [gamma(float(y), gp) for y in ys]
+        vals = [gamma(float(y), 0.3, f_H2=0.1) for y in ys]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_overflow_clamps_to_inf(self):
-        assert gamma(100.0, GrowthParams(C=1.0)) == math.inf
+        assert gamma(100.0, 1.0) == math.inf
 
     def test_negative_y_rejected(self):
         with pytest.raises(InputError):
-            gamma(-1.0, GrowthParams(C=1.0))
+            gamma(-1.0, 1.0)
 
 
 class TestEtaPartition:
@@ -119,25 +117,48 @@ class TestEtaPartition:
 class TestGrowthConstant:
     def test_zero_for_decaying_data(self):
         t = np.linspace(0.0, 2.0, 40)
-        gp = fit_growth_constant(_diag(t, 0.04 * np.exp(-t)), eta=0.05)
-        assert gp.C == 0.0
-        assert check_growth_bound(_diag(t, 0.04 * np.exp(-t)), gp)
+        d = _diag(t, 0.04 * np.exp(-t))
+        ivs = eta_partition(d, eta=0.05)
+        C = fit_growth_constant(d, ivs)
+        assert C == 0.0
+        assert check_growth_bound(d, ivs, C)
 
     def test_fitted_C_is_minimal(self):
         rng = np.random.default_rng(11)
         t = np.linspace(0.0, 2.0, 60)
         E2 = 0.02 * (1.0 + 0.5 * np.sin(7.0 * t) + 0.1 * rng.uniform(size=60))
         d = _diag(t, E2)
-        gp = fit_growth_constant(d, eta=0.05)
-        assert gp.C > 0.0 and math.isfinite(gp.C)
-        assert check_growth_bound(d, gp)
-        smaller = GrowthParams(C=gp.C * (1.0 - 1e-6), eta=gp.eta, f_H2=gp.f_H2)
-        assert not check_growth_bound(d, smaller)
+        ivs = eta_partition(d, eta=0.05)
+        C = fit_growth_constant(d, ivs)
+        assert C > 0.0 and math.isfinite(C)
+        assert check_growth_bound(d, ivs, C)
+        assert not check_growth_bound(d, ivs, C * (1.0 - 1e-6))
+
+    def test_forcing_enters_fit_and_check_alike(self):
+        rng = np.random.default_rng(12)
+        t = np.linspace(0.0, 2.0, 60)
+        d = _diag(t, 0.02 * (1.0 + 0.5 * np.sin(7.0 * t)
+                             + 0.1 * rng.uniform(size=60)))
+        ivs = eta_partition(d, eta=0.05)
+        C = fit_growth_constant(d, ivs, f_H2=0.005)
+        assert 0.0 < C < fit_growth_constant(d, ivs)
+        assert check_growth_bound(d, ivs, C, f_H2=0.005)
+        assert not check_growth_bound(d, ivs, C)
 
     def test_zero_base_growth_is_a_violation(self):
         d = _diag([0.0, 0.1, 0.2], [0.0, 1.0, 1.0])
         with pytest.raises(InputError):
-            fit_growth_constant(d, eta=10.0)
+            fit_growth_constant(d, eta_partition(d, eta=10.0))
+
+    def test_negative_forcing_rejected(self):
+        d = _diag([0.0, 0.1, 0.2], [0.01, 0.02, 0.01])
+        with pytest.raises(InputError, match="f_H2"):
+            fit_growth_constant(d, eta_partition(d, eta=10.0), f_H2=-0.1)
+
+    def test_empty_partition_rejected(self):
+        d = _diag([0.0], [0.01])
+        with pytest.raises(InputError, match="no full interval"):
+            fit_growth_constant(d, eta_partition(d, eta=0.05))
 
 
 class TestDecayAndAbsorb:
@@ -162,7 +183,7 @@ class TestDecayAndAbsorb:
         d2 = _diag(t, 0.5 * np.exp(-t) + 0.08)
         rep = detect_absorbing([d1, d2], window=3.0)
         assert isinstance(rep, AbsorbReport)
-        assert all(rep.stayed) and not any(rep.inconclusive)
+        assert not any(rep.inconclusive)
         assert rep.K_ball >= 0.08
         assert all(T < 7.0 for T in rep.T_V)
 

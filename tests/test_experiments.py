@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import count_calls_everywhere
 from pe3d.cli import main
 from pe3d.config import parse_config
-from pe3d import experiments
-from pe3d.errors import DivergenceError
+from pe3d import dynamics, experiments
+from pe3d.errors import DivergenceError, SolverError
+from pe3d.estimates import eta_partition
 from pe3d.experiments import (CHAIN_HEADER, N_WINDOWS, TRAJECTORY_HEADER,
                               measure_T_V, run_experiment)
 from pe3d.kicks import wasserstein1
@@ -113,6 +115,16 @@ class TestFailurePaths:
         assert "overflows" in fail["detail"]
         assert not (tmp_path / "decay_0.csv").exists()
 
+    def test_solver_residual_recorded(self, tmp_path, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise SolverError("x", 3e-4)
+
+        monkeypatch.setattr(dynamics, "weighted_cg", stalled)
+        assert run_experiment(_cfg(), output=str(tmp_path)) == 3
+        fail = json.loads((tmp_path / "failure.json").read_text())
+        assert fail["kind"] == "error"
+        assert fail["residual"] == 3e-4
+
     def test_unexpected_exception_recorded_and_reraised(self, tmp_path, monkeypatch):
         def broken(cfg, outdir):
             raise KeyError("missing")
@@ -171,6 +183,14 @@ class TestDiagDriver:
         assert code == 0
         rep = json.loads((tmp_path / "diag" / "diag_report.json").read_text())
         assert all(e["bound_holds"] for e in rep["trajectories"])
+
+    def test_partitions_each_trajectory_once(self, tmp_path, monkeypatch):
+        run_experiment(_cfg(), output=str(tmp_path / "runs"))
+        calls = count_calls_everywhere(monkeypatch, eta_partition)
+        cfg = _cfg(TINY.replace("experiment = decay", "experiment = diag")
+                   + f"input = {tmp_path / 'runs'}\n")
+        assert run_experiment(cfg, output=str(tmp_path / "diag")) == 0
+        assert len(calls) == len(list((tmp_path / "runs").glob("*.csv"))) == 2
 
     def test_decreasing_timestamps_exit_3(self, tmp_path):
         bad = tmp_path / "runs"

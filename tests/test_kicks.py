@@ -8,8 +8,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import wasserstein_distance
 
-from conftest import run_with_blas_threads
-from pe3d import dynamics
+from conftest import count_calls_everywhere, run_with_blas_threads
 from pe3d.dynamics import SimulationParams, solve_S
 from pe3d.errors import InputError
 from pe3d.fields import bc_residual
@@ -152,14 +151,9 @@ class TestChain:
     def test_one_projection_per_chain_step(self, grid6, kick_cfg, params,
                                            monkeypatch):
         # project_H runs on each solve_S input, the chain's start included;
-        # a step projects its own solve in place
-        calls = []
-
-        def counting(w):
-            calls.append(1)
-            return project_H(w)
-
-        monkeypatch.setattr(dynamics, "project_H", counting)
+        # a step projects its own solve in place.  Every pe3d name for
+        # project_H counts, so no module can project past the count
+        calls = count_calls_everywhere(monkeypatch, project_H)
         run_chain(kick_cfg, params,
                   random_smooth_field(np.random.default_rng(5), grid6))
         assert len(calls) == kick_cfg.N
