@@ -61,17 +61,24 @@ class RunConfig:
             raise InputError("record_every must be >= 1")
 
 
+def _parse_float(s: str) -> float:
+    """A finite float: no check downstream has to guard against NaN or an
+    infinity (``t_end = inf`` would never end a run)."""
+    x = float(s)
+    if not abs(x) < float("inf"):
+        raise ValueError("not a finite number")
+    return x
+
+
 def _parse_floats(s: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in s.split(","))
-    except ValueError as e:
-        raise InputError(str(e))
+    return tuple(_parse_float(p) for p in s.split(","))
 
 
 #: config section -> (RunConfig attribute, the dataclass it holds)
 _SECTIONS = {"grid": ("grid", GridSpec), "sim": ("sim", SimulationParams),
              "kick": ("kick", KickConfig), "experiment": ("exp", ExperimentBlock)}
-_PARSERS = {float: float, int: int, str: str, tuple[float, ...]: _parse_floats}
+_PARSERS = {float: _parse_float, int: int, str: str,
+            tuple[float, ...]: _parse_floats}
 
 
 def _schema(cls, skip=()) -> dict:
@@ -111,12 +118,11 @@ def parse_config(text: str) -> RunConfig:
             raise InputError(f"line {lineno}: duplicate key {key!r} in {where}")
         if key not in schema:
             raise InputError(f"line {lineno}: unknown key {key!r} in {where}")
-        conv = schema[key]
         try:
-            parsed = conv(value)
-        except (ValueError, InputError):
-            raise InputError(
-                f"line {lineno}: cannot parse {key!r} value {value!r} as {getattr(conv, '__name__', 'value')}")
+            parsed = schema[key](value)
+        except ValueError as e:
+            name = key if current is None else f"{current}.{key}"
+            raise InputError(f"line {lineno}: cannot parse {name} = {value!r}: {e}")
         (top if current is None else sections[current])[key] = parsed
 
     if "experiment" not in top:

@@ -8,21 +8,23 @@ ladder all advance through it.
 The scheme is first-order IMEX Euler: explicit skew-symmetrized advection
 and forcing, implicit BC-aware diffusion, then projection.  ``nonlinear_B``
 takes its six derivative products of both components at once, as 4D
-arrays, through the cached per-axis SBP matrices (``grid.along``), into
-the step's own derivative arrays.  The diffusion solve is exact by fast
-diagonalization (the operator is a Kronecker sum of three 1D second
-differences on the free nodes): its eigenvector transforms are per-axis
-matmuls through the same helper.  ``grid.laplacian_eigenbasis`` certifies
-its 1D identities once per grid, and the first step of each trajectory
-checks its solve by the residual test of the weighted CG, which applies
-the stencil once and would iterate only if that residual exceeded
-DIFFUSION_RTOL.  ``_derivatives_w3`` is the one definition of
-the diagnostic vertical velocity w3: a step takes its state's 4D x- and
-y-derivatives once, ``nonlinear_B`` reuses them, and their divergence
-gives the w3 that ``cfl_dt`` and ``nonlinear_B`` share.  The projection
-returns BC-clean fields, so no boundary assignment follows it and no kernel
-checks boundary values: ``integrate`` projects its input with ``project_H``,
-and a step projects its own (BC-clean) solve in place.
+arrays, through the cached per-axis SBP matrices (``grid.along``), and
+sums them in the step's own derivative array, where the step then forms
+w = v - dt B.  The diffusion solve is exact by fast diagonalization (the
+operator is a Kronecker sum of three 1D second differences on the free
+nodes): its zero-embedded eigenvector transforms are per-axis matmuls
+through the same helper, reading w and writing the solve whole.
+``grid.laplacian_eigenbasis`` certifies its 1D identities once per grid,
+and the first step of each trajectory checks its solve by the residual
+test of the weighted CG, which applies the stencil once and would iterate
+only if that residual exceeded DIFFUSION_RTOL.  ``_derivatives_w3`` is the
+one definition of the diagnostic vertical velocity w3: a step takes its
+state's 4D x- and y-derivatives once, ``nonlinear_B`` reuses them, and
+the cumulative trapezoid of their divergence gives the w3 that ``cfl_dt``
+and ``nonlinear_B`` share.  The projection returns BC-clean fields, so no
+boundary assignment follows it and no kernel checks boundary values:
+``integrate`` projects its input with ``project_H``, and a step projects
+its own (BC-clean) solve in place.
 
 A step only advances the state; each ``SimState`` carries the dt of the
 step that produced it.  The skew-symmetrized advection makes the discrete
@@ -103,7 +105,8 @@ def _derivatives_w3(v: HorizontalField
     g = v.grid
     dv = (along(diff_matrix("sbp", g.n1, g.d1), v.data, 1),
           along(diff_matrix("sbp", g.n2, g.d2), v.data, 2))
-    return dv, -cumulative_z_integral(dv[0][0] + dv[1][1], g)
+    w3 = cumulative_z_integral(dv[0][0] + dv[1][1], g)
+    return dv, np.negative(w3, out=w3)
 
 
 def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
@@ -115,8 +118,9 @@ def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
     <B(v,v), v> reduces to boundary terms that vanish for BC-clean,
     constraint-satisfying states.  No projection is applied here.  ``w3``
     is the vertical velocity of v_adv and ``dv`` the x- and y-derivatives
-    of v, both from ``_derivatives_w3``.  ``dv`` is consumed: the result
-    accumulates in dv[0], and dv[1] holds the products a1 v, a2 v, w3 v.
+    of v, both from ``_derivatives_w3``.  ``dv`` is consumed: the six terms
+    are summed left to right in dv[0], the advective ones first, and dv[1]
+    is the scratch array of each term before it is added.
     """
     if v_adv.data.shape != v.data.shape:
         raise InputError("nonlinear_B: field shapes differ")
@@ -129,11 +133,10 @@ def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
     adv, buf = dv
     adv *= a1
     adv += np.multiply(a2, buf, out=buf)
-    adv += w3 * along(mz, vd, 3)
-    dvg = along(mx, np.multiply(a1, vd, out=buf), 1)
-    dvg += along(my, np.multiply(a2, vd, out=buf), 2)
-    dvg += along(mz, np.multiply(w3, vd, out=buf), 3)
-    adv += dvg
+    adv += np.multiply(w3, along(mz, vd, 3), out=buf)
+    adv += along(mx, np.multiply(a1, vd, out=buf), 1)
+    adv += along(my, np.multiply(a2, vd, out=buf), 2)
+    adv += along(mz, np.multiply(w3, vd, out=buf), 3)
     adv *= 0.5
     return HorizontalField(adv, g)
 
@@ -141,35 +144,40 @@ def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
 def _separable_solve(b: np.ndarray, grid: GridSpec, dt_nu: float) -> np.ndarray:
     """Exact solve of (I - dt nu lap_bc) x = b on the free nodes by fast
     diagonalization: three forward 1D transforms, a pointwise divide by
-    1 - dt nu (lam_x + lam_y + lam_z), three back transforms.  Dirichlet
-    nodes of the result are zero."""
+    1 - dt nu (lam_x + lam_y + lam_z), three back transforms.  The
+    transforms are zero-embedded, so b's Dirichlet nodes are never read
+    and x is +0.0 on them."""
     (fx, bx), (fy, by), (fz, bz), lam = _grid.laplacian_eigenbasis(grid)
-    free = (slice(None), slice(1, grid.n1), slice(1, grid.n2), slice(1, None))
-    y = along(fz, along(fy, along(fx, b[free], 1), 2), 3)
+    y = along(fz, along(fy, along(fx, b, 1), 2), 3)
     y /= 1.0 - dt_nu * lam
-    x = np.zeros_like(b)
-    x[free] = along(bz, along(by, along(bx, y, 1), 2), 3)
-    return x
+    # rebinding y frees each intermediate as soon as it is consumed
+    y = along(bx, y, 1)
+    y = along(by, y, 2)
+    return along(bz, y, 3)
 
 
 def _implicit_diffusion(w: HorizontalField, dt: float, nu: float,
                         certify: bool) -> HorizontalField | None:
     """Solve (I - dt nu lap_bc) v = w on the free nodes by the separable
-    solve, exact once ``laplacian_eigenbasis`` has certified its basis; w's
-    Dirichlet faces are zeroed in place.  None if the solve is not finite
-    (the state diverged).  With ``certify`` a finite solve starts the
-    weighted CG, whose initial residual test checks it against the stencil
-    operator and accepts it unless it exceeds DIFFUSION_RTOL."""
+    solve, exact once ``laplacian_eigenbasis`` has certified its basis.
+    None if the solve is not finite (the state diverged; a non-finite
+    entry on a free node of w makes it so).  With ``certify`` a finite
+    solve starts the weighted CG, whose initial residual test checks it
+    against the stencil operator and accepts it unless it exceeds
+    DIFFUSION_RTOL; w's Dirichlet faces are then zeroed in place to make
+    CG's right-hand side."""
     g = w.grid
-    b = zero_dirichlet(w.data)
-    x = _separable_solve(b, g, dt * nu)
+    x = _separable_solve(w.data, g, dt * nu)
     if not np.isfinite(x).all():
         return None
     if certify:
         def apply_op(data):
-            return zero_dirichlet(data - dt * nu * laplacian_bc(data, g))
+            lap = laplacian_bc(data, g)
+            lap *= -(dt * nu)
+            lap += data
+            return zero_dirichlet(lap)
 
-        x = weighted_cg(apply_op, b, _grid.weights3(g)[None],
+        x = weighted_cg(apply_op, zero_dirichlet(w.data), _grid.weights3(g)[None],
                         rel_tol=DIFFUSION_RTOL,
                         max_iter=200 * max(g.n1, g.n2, g.nz), x0=x,
                         label="implicit-diffusion")
@@ -195,18 +203,19 @@ def step(state: SimState, params: SimulationParams,
     its diffusion solve against the stencil; a non-finite solve raises
     DivergenceError before that check and before the projection."""
     v = state.v
-    g = v.grid
     dv, w3 = _derivatives_w3(v)
     dt = cfl_dt(v, params, w3)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 
-    B = nonlinear_B(v, v, w3=w3, dv=dv)
+    w = nonlinear_B(v, v, w3=w3, dv=dv)
     del w3, dv   # not needed past the advection; frees them before the solve
-    w = HorizontalField(v.data - dt * B.data, g)
-    del B
+    # w = v - dt B, in B's own array
+    w.data *= -dt
+    w.data += v.data
     if forcing is not None:
         w.data += dt * forcing.data
+    del forcing   # frees a caller's temporary source before the solve
     vnew = _implicit_diffusion(w, dt, params.nu, state.step_count == 0)
     if vnew is None:
         raise DivergenceError(
@@ -254,9 +263,11 @@ def integrate(v0: HorizontalField, t_end: float, params: SimulationParams,
         raise InputError("integrate: negative duration")
     _retain_heap()
     state = SimState(t=0.0, v=project_H(v0))
+    del v0   # a caller's temporary start field is freed before the first step
     while not reached(state.t, t_end):
-        forcing = forcing_at(state.t) if forcing_at is not None else None
-        new = step(state, params, forcing=forcing, dt_cap=t_end - state.t)
+        # the source is a temporary that step frees once it is added
+        new = step(state, params, dt_cap=t_end - state.t,
+                   forcing=forcing_at(state.t) if forcing_at is not None else None)
         if on_step is not None:
             on_step(state, new)
         state = new

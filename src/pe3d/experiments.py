@@ -145,22 +145,28 @@ def _forcing_field(grid: GridSpec, seed: int, target_H2: float) -> HorizontalFie
 # Drivers
 # ---------------------------------------------------------------------------
 
-def run_verify(cfg: RunConfig, outdir: Path) -> dict:
-    # the ladder fixes its own grids and time steps; reject the keys it
-    # would otherwise parse and ignore (kick.seed excepted: run_experiment's
-    # seed argument sets it for every experiment)
-    read = {"sim.nu", "kick.seed"}
+def _reject_ignored(cfg: RunConfig, read: tuple[str, ...]) -> None:
+    """An InputError naming every section key that is not in ``read`` and
+    differs from its default, and ``record_every`` unless it is 1: an
+    experiment that reads only ``read`` would parse those keys and ignore
+    them.  kick.seed is always read: run_experiment's seed argument sets it
+    for every experiment."""
     ignored = [f"{section}.{f.name}"
                for section, block in (("grid", cfg.grid), ("sim", cfg.sim),
                                       ("kick", cfg.kick), ("experiment", cfg.exp))
                for f in fields(block)
-               if f"{section}.{f.name}" not in read
+               if f"{section}.{f.name}" not in read + ("kick.seed",)
                and getattr(block, f.name) != f.default]
     if cfg.record_every != 1:
         ignored.append("record_every")
     if ignored:
-        raise InputError("verify reads only sim.nu from the config; remove "
-                         + ", ".join(ignored))
+        raise InputError(f"{cfg.experiment} reads only {', '.join(read)} from "
+                         f"the config; remove {', '.join(ignored)}")
+
+
+def run_verify(cfg: RunConfig, outdir: Path) -> dict:
+    # the ladder fixes its own grids and time steps
+    _reject_ignored(cfg, ("sim.nu",))
     rep = verify_manufactured(cfg.sim.nu)
     report = asdict(rep)
     _write_json(outdir / "convergence.json", report)
@@ -277,6 +283,7 @@ def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def run_diag(cfg: RunConfig, outdir: Path) -> dict:
+    _reject_ignored(cfg, ("experiment.input", "experiment.eta", "experiment.f_H2"))
     pattern = cfg.exp.input
     if not pattern:
         raise InputError("diag: experiment.input must name a directory or glob "

@@ -163,3 +163,12 @@ REFERENCES = {
     "dirichlet": lambda f, d, axis: ref_second_diff(f, d, axis, "dirichlet"),
     "neumann": lambda f, d, axis: ref_second_diff(f, d, axis, "neumann"),
 }
+
+
+def ref_cumulative_trapezoid(f, dz):
+    """int_{-h}^{z_k} f along the last axis of a 3D array, from the bottom
+    node, as a running sum: the reference for the cached cumulative
+    matrix of pe3d.grid."""
+    out = np.zeros_like(f)
+    out[:, :, 1:] = np.cumsum(0.5 * dz * (f[:, :, 1:] + f[:, :, :-1]), axis=2)
+    return out

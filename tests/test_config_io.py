@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pe3d.config import (ExperimentBlock, RunConfig, parse_config,
+from pe3d.config import (_SECTION_SCHEMA, ExperimentBlock, RunConfig,
+                         _parse_float, _parse_floats, parse_config,
                          serialize_config)
 from pe3d.dynamics import SimulationParams
 from pe3d.errors import InputError
@@ -93,6 +94,17 @@ class TestConfigParsing:
     def test_bad_experiment_value_names_the_key(self, entry, key):
         with pytest.raises(InputError, match=key):
             parse_config(MINIMAL + f"[experiment]\n{entry}\n")
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, schema in _SECTION_SCHEMA.items()
+        for key, conv in schema.items() if conv in (_parse_float, _parse_floats)])
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_float_names_the_key(self, section, key, value):
+        # a list key is rejected for one non-finite entry among finite ones
+        entry = f"1e-2,{value}" if key == "deltas" else value
+        with pytest.raises(InputError, match=rf"line 9: cannot parse {section}\.{key} = "
+                                             rf"'{entry}': not a finite number"):
+            parse_config(MINIMAL + f"[{section}]\n{key} = {entry}\n")
 
     def test_deltas_list(self):
         cfg = parse_config(MINIMAL + "[experiment]\ndeltas = 1e-2,1e-4\n")

@@ -66,24 +66,26 @@ def _reference_B(v_adv, v):
 
 def _formula_B(v_adv, v, w3, dv):
     """nonlinear_B as a formula with a fresh array per term, in the order
-    of operations that nonlinear_B keeps while accumulating into dv."""
+    of operations that nonlinear_B keeps while accumulating into dv: the
+    six terms summed left to right, then halved."""
     g = v.grid
     a1, a2 = v_adv.u1, v_adv.u2
     mx = diff_matrix("sbp", g.n1, g.d1)
     my = diff_matrix("sbp", g.n2, g.d2)
     mz = diff_matrix("sbp", g.nz, g.dz)
     vd = v.data
-    adv = a1 * dv[0] + a2 * dv[1] + w3 * along(mz, vd, 3)
-    dvg = (along(mx, a1 * vd, 1) + along(my, a2 * vd, 2)
-           + along(mz, w3 * vd, 3))
-    return 0.5 * (adv + dvg)
+    return 0.5 * (a1 * dv[0] + a2 * dv[1] + w3 * along(mz, vd, 3)
+                  + along(mx, a1 * vd, 1) + along(my, a2 * vd, 2)
+                  + along(mz, w3 * vd, 3))
 
 
 class TestNonlinearTerm:
     def test_passed_w3_matches_reference(self, grid12, rng):
+        # the reference sums the advective and the divergence form apart,
+        # so the two agree to rounding
         v_adv, v = raw_field(grid12, rng), raw_field(grid12, rng)
         ref = _reference_B(v_adv, v)
-        assert _B(v_adv, v).data.tobytes() == ref.tobytes()
+        assert np.abs(_B(v_adv, v).data - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("grid", [GridSpec(n1=12, n2=12, nz=12),
                                       GridSpec(L1=2.0, L2=0.7, h=1.3,
@@ -185,12 +187,15 @@ class TestImplicitDiffusion:
     def test_separable_solve_matches_dense(self, n1, n2, nz, L1, L2, h,
                                            dt_nu, seed):
         # the fast-diagonalization solve alone, without the CG check,
-        # against the dense operator on random grids, extents and dt nu
+        # against the dense operator on random grids, extents and dt nu;
+        # its zero-embedded transforms read w whole, so w keeps its random
+        # Dirichlet values, which must not reach the result, and every
+        # Dirichlet node of the result is +0.0
         grid = GridSpec(L1=L1, L2=L2, h=h, n1=n1, n2=n2, nz=nz)
-        w = apply_bc(raw_field(grid, np.random.default_rng(seed)))
+        w = raw_field(grid, np.random.default_rng(seed))
         A, rhs, free = _dense_system(grid, dt_nu, w)
-        got = _separable_solve(zero_dirichlet(w.data.copy()), grid, dt_nu).ravel()
-        assert np.all(got[~free] == 0.0)
+        got = _separable_solve(w.data.copy(), grid, dt_nu).ravel()
+        assert np.all(got[~free] == 0.0) and not np.signbit(got[~free]).any()
         res = np.linalg.norm(A @ got - rhs) / np.linalg.norm(rhs)
         assert res <= 1e-12
         expected = np.linalg.solve(A[np.ix_(free, free)], rhs[free])
@@ -266,15 +271,17 @@ class TestStepper:
         # cfl_dt and nonlinear_B share one vertical velocity, built from the
         # step's own x- and y-derivatives by _derivatives_w3 (its oracle is
         # in test_fields), and the advection is that of nonlinear_B called
-        # alone, byte for byte
+        # alone, byte for byte (the step reuses B's array, so the spy keeps
+        # a copy of each result)
         seen = []
 
         def spy(name):
             real = getattr(dynamics, name)
 
             def wrapped(*args, **kw):
-                seen.append((args, kw, real(*args, **kw)))
-                return seen[-1][2]
+                out = real(*args, **kw)
+                seen.append((args, kw, out.copy() if name == "nonlinear_B" else out))
+                return out
             monkeypatch.setattr(dynamics, name, wrapped)
 
         spy("cfl_dt")
@@ -290,7 +297,7 @@ class TestStepper:
             assert B.data.tobytes() == _B(v, v).data.tobytes()
 
     def test_step_working_set(self):
-        # a step after the first, with forcing, allocates at most five
+        # a step after the first, with forcing, allocates at most four
         # state-sized arrays at once, its result included
         grid = GridSpec(n1=24, n2=24, nz=24)
         v = project_H(random_smooth_field(np.random.default_rng(3), grid))
@@ -306,7 +313,7 @@ class TestStepper:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 5.0 * state.v.data.nbytes
+        assert peak <= 4.0 * state.v.data.nbytes
 
     def test_dt_cap_landing(self, smooth8):
         params = SimulationParams(dt_max=0.01, cfl=1.0)
@@ -375,6 +382,31 @@ class TestStepper:
         diag = e.value.diagnostics
         assert set(diag) == {"t", "step", "dt", "H_before"}
         assert (diag["t"], diag["step"]) == (0.25, step_count)
+
+    @pytest.mark.parametrize("node, bad, step_count", [
+        ((0, 3, 4, 5), np.nan, 0), ((1, 2, 6, 8), np.inf, 1)],
+        ids=["interior nan, first step", "top face inf, later step"])
+    def test_non_finite_w_raises_before_cg(self, monkeypatch, smooth8, node,
+                                           bad, step_count):
+        # one non-finite entry of w = v - dt B on a free node makes the
+        # solve non-finite: DivergenceError, with no CG call and no
+        # projection
+        calls, _ = _count_cg(monkeypatch)
+        projected = []
+        monkeypatch.setattr(dynamics, "_project_in_place", projected.append)
+        real = dynamics.nonlinear_B
+
+        def poisoned(*args, **kw):
+            B = real(*args, **kw)
+            B.data[node] = bad
+            return B
+
+        monkeypatch.setattr(dynamics, "nonlinear_B", poisoned)
+        state = SimState(t=0.5, v=smooth8, step_count=step_count)
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as e:
+            step(state, SimulationParams(dt_max=1e-2))
+        assert calls == projected == []
+        assert (e.value.diagnostics["t"], e.value.diagnostics["step"]) == (0.5, step_count)
 
     def test_step_projects_as_project_H_does(self, smooth8, monkeypatch):
         # the in-place projection of a step's solve changes no byte against

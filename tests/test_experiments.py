@@ -174,12 +174,16 @@ class TestVerifyDriver:
         assert calls == [1.0]
 
 
+def _diag_cfg(input_path, extra=""):
+    """A diag config that sets only what diag reads, plus ``extra``."""
+    return _cfg(f"experiment = diag\n{extra}\n[experiment]\ninput = {input_path}\n")
+
+
 class TestDiagDriver:
     def test_runs_on_decay_output(self, tmp_path):
         run_experiment(_cfg(), output=str(tmp_path / "runs"))
-        cfg = _cfg(TINY.replace("experiment = decay", "experiment = diag")
-                   + f"input = {tmp_path / 'runs'}\n")
-        code = run_experiment(cfg, output=str(tmp_path / "diag"))
+        code = run_experiment(_diag_cfg(tmp_path / "runs"),
+                              output=str(tmp_path / "diag"))
         assert code == 0
         rep = json.loads((tmp_path / "diag" / "diag_report.json").read_text())
         assert all(e["bound_holds"] for e in rep["trajectories"])
@@ -187,9 +191,8 @@ class TestDiagDriver:
     def test_partitions_each_trajectory_once(self, tmp_path, monkeypatch):
         run_experiment(_cfg(), output=str(tmp_path / "runs"))
         calls = count_calls_everywhere(monkeypatch, eta_partition)
-        cfg = _cfg(TINY.replace("experiment = decay", "experiment = diag")
-                   + f"input = {tmp_path / 'runs'}\n")
-        assert run_experiment(cfg, output=str(tmp_path / "diag")) == 0
+        assert run_experiment(_diag_cfg(tmp_path / "runs"),
+                              output=str(tmp_path / "diag")) == 0
         assert len(calls) == len(list((tmp_path / "runs").glob("*.csv"))) == 2
 
     def test_decreasing_timestamps_exit_3(self, tmp_path):
@@ -197,17 +200,41 @@ class TestDiagDriver:
         bad.mkdir()
         (bad / "t.csv").write_text(TRAJECTORY_HEADER + "\n"
                                    "0.2,1,1,1,0,1,0\n0.1,1,1,1,0,1,0\n")
-        cfg = _cfg(TINY.replace("experiment = decay", "experiment = diag")
-                   + f"input = {bad}\n")
-        code = run_experiment(cfg, output=str(tmp_path / "diag"))
+        code = run_experiment(_diag_cfg(bad), output=str(tmp_path / "diag"))
         assert code == 3
         fail = json.loads((tmp_path / "diag" / "failure.json").read_text())
         assert fail["kind"] == "error"
+        assert "timestamps" in fail["detail"]
 
     def test_missing_input_exit_3(self, tmp_path):
-        cfg = _cfg(TINY.replace("experiment = decay", "experiment = diag")
-                   + "input = /nonexistent/*.csv\n")
+        cfg = _diag_cfg("/nonexistent/*.csv")
         assert run_experiment(cfg, output=str(tmp_path)) == 3
+        fail = json.loads((tmp_path / "failure.json").read_text())
+        assert "no trajectory CSVs" in fail["detail"]
+
+    @pytest.mark.parametrize("text, key", [
+        ("[grid]\nn1 = 48\n", "grid.n1"),
+        ("[sim]\nnu = 7.0\n", "sim.nu"),
+        ("[kick]\nN = 900\n", "kick.N"),
+        ("[experiment]\nR = 2\n", "experiment.R"),
+        ("record_every = 3\n", "record_every"),
+    ], ids=["grid.n1", "sim.nu", "kick.N", "experiment.R", "record_every"])
+    def test_ignored_key_exits_3(self, tmp_path, text, key):
+        # diag reads only experiment.input, eta and f_H2
+        run_experiment(_cfg(), output=str(tmp_path / "runs"))
+        cfg = _diag_cfg(tmp_path / "runs", text)
+        assert run_experiment(cfg, output=str(tmp_path / "diag"), seed=3) == 3
+        fail = json.loads((tmp_path / "diag" / "failure.json").read_text())
+        assert key in fail["detail"]
+        assert not (tmp_path / "diag" / "diag_report.json").exists()
+
+    def test_read_keys_and_seed_pass_the_key_check(self, tmp_path):
+        run_experiment(_cfg(), output=str(tmp_path / "runs"))
+        cfg = _cfg(f"experiment = diag\n[experiment]\ninput = {tmp_path / 'runs'}\n"
+                   "eta = 0.02\nf_H2 = 0.1\n")
+        assert run_experiment(cfg, output=str(tmp_path / "diag"), seed=3) == 0
+        rep = json.loads((tmp_path / "diag" / "diag_report.json").read_text())
+        assert (rep["eta"], rep["f_H2"]) == (0.02, 0.1)
 
 
 class TestProbeDriver:

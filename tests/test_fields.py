@@ -4,7 +4,7 @@ velocity, and the smooth-field sampler."""
 import numpy as np
 import pytest
 
-from conftest import meshgrid, raw_field, ref_sbp
+from conftest import meshgrid, raw_field, ref_cumulative_trapezoid, ref_sbp
 from pe3d.dynamics import _derivatives_w3
 from pe3d.errors import InputError
 from pe3d.fields import (DIRICHLET_FACES, HorizontalField, apply_bc,
@@ -20,13 +20,6 @@ def _stream_function_field(psi, grid, profile):
     u1 = diff_sbp(psi, grid.d2, 1)[:, :, None] * profile
     u2 = -diff_sbp(psi, grid.d1, 0)[:, :, None] * profile
     return apply_bc(HorizontalField(np.stack([u1, u2]), grid))
-
-
-def _cumulative_trapezoid(f, dz):
-    """int_{-h}^{z_k} f along the last axis, from the bottom node."""
-    out = np.zeros_like(f)
-    out[:, :, 1:] = np.cumsum(0.5 * dz * (f[:, :, 1:] + f[:, :, :-1]), axis=2)
-    return out
 
 
 def _u3(v):
@@ -119,16 +112,17 @@ class TestU3Diagnostic:
         ids=["12^3", "24x20x12"])
     def test_matches_cumulative_trapezoid_of_div2(self, grid):
         # the step's w3, from its 4D x- and y-derivatives, is the
-        # cumulative trapezoid of -div2 byte for byte; the moveaxis
-        # reference stencils divide by 2d where the cached matrices
-        # multiply by 1/(2d), so against them it agrees to rounding
+        # cumulative trapezoid of -div2; the cached cumulative matrix sums
+        # in another order than the running sum, and the moveaxis reference
+        # stencils divide by 2d where the cached matrices multiply by
+        # 1/(2d), so against both it agrees to rounding
         for v in (project_H(random_smooth_field(np.random.default_rng(3), grid)),
                   apply_bc(raw_field(grid, np.random.default_rng(4)))):
             got = _u3(v)
-            div = div2(v.u1, v.u2, grid)
-            assert got.tobytes() == (-_cumulative_trapezoid(div, grid.dz)).tobytes()
+            ref = -ref_cumulative_trapezoid(div2(v.u1, v.u2, grid), grid.dz)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
             div = ref_sbp(v.u1, grid.d1, 0) + ref_sbp(v.u2, grid.d2, 1)
-            ref = -_cumulative_trapezoid(div, grid.dz)
+            ref = -ref_cumulative_trapezoid(div, grid.dz)
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_zero_for_stream_function_fields(self, grid12, rng):

@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from pe3d.errors import InputError
-from conftest import REFERENCES, meshgrid
+from conftest import REFERENCES, meshgrid, ref_cumulative_trapezoid
 from pe3d.grid import (STENCILS, GridSpec, along, cumulative_z_integral,
-                       diff_matrix, diff_sbp, div2,
-                       laplacian_bc, vertical_integral, weights2, weights3)
+                       diff_matrix, diff_sbp, div2, laplacian_bc,
+                       vertical_integral, weights2, weights3, z_quadrature)
 
 EPS = np.finfo(float).eps
 
@@ -130,6 +130,16 @@ class TestDifferenceOperators:
                             got, want = got[rows], want[rows]
                         assert got.tobytes() == want.tobytes()
 
+    def test_rectangular_matrix_sets_the_axis_length(self, rng):
+        # along maps an axis of length m.shape[1] to one of length m.shape[0]
+        f = rng.standard_normal((3, 5, 6, 7))
+        for axis in range(4):
+            m = rng.standard_normal((2, f.shape[axis]))
+            got = along(m, f, axis)
+            want = np.moveaxis(np.tensordot(m, f, axes=(1, axis)), 0, axis)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
     def test_laplacian_of_a_component_stack_matches_reference(self, grid12, rng):
         # laplacian_bc differentiates the last three axes, of one 3D
         # component or a 4D stack of them, as the three references summed
@@ -200,6 +210,27 @@ class TestVerticalIntegrals:
         got = cumulative_z_integral(f, grid12)
         expected = cumulative_trapezoid(f, dx=grid12.dz, axis=2, initial=0.0)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(n1=12, n2=12, nz=12),
+        GridSpec(L1=2.0, L2=0.7, h=1.3, n1=24, n2=20, nz=12),
+        GridSpec(n1=4, n2=5, nz=37, h=0.3)], ids=["12^3", "24x20x12", "4x5x37"])
+    def test_cached_operators_match_oracles(self, grid, rng):
+        # the cached weights and cumulative matrix, applied as matmuls,
+        # against numpy's trapezoid and the running-sum reference; they sum
+        # in another order, so they agree to rounding
+        w, C = z_quadrature(grid)
+        assert z_quadrature(grid)[1] is C
+        assert not (w.flags.writeable or C.flags.writeable)
+        assert C.shape == (grid.nz + 1, grid.nz + 1) and not C[0].any()
+        f = rng.standard_normal(grid.shape)
+        ref = ref_cumulative_trapezoid(f, grid.dz)
+        got = cumulative_z_integral(f, grid)
+        assert got.shape == f.shape and not got[:, :, 0].any()
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        ref = np.trapezoid(f, dx=grid.dz, axis=2)
+        got = vertical_integral(f, grid)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_cumulative_endpoint_is_full_integral(self, grid12, rng):
         f = rng.standard_normal(grid12.shape)
