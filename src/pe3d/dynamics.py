@@ -1,9 +1,13 @@
 """Nonlinear term, IMEX time stepper, the integration loop, and the
 solution operator.
 
-``integrate`` holds the only time loop: the solution operator ``solve_S``,
-the recorded trajectories of ``estimates`` and the manufactured-solution
-ladder all advance through it.
+``advance`` holds the only time loop: it steps a ``SimState`` to an end
+time and continues its step count.  ``integrate`` is ``project_H`` followed
+by ``advance``; the solution operator ``solve_S``, the recorded
+trajectories of ``estimates`` and the manufactured-solution ladder advance
+through it.  A kick chain (``kicks``) is one trajectory: it advances its
+state by each inter-kick time and adds each kick to the result, so it is
+projected and its diffusion solve certified once, at its start.
 
 The scheme is first-order IMEX Euler: explicit skew-symmetrized advection
 and forcing, implicit BC-aware diffusion, then projection.  ``nonlinear_B``
@@ -13,15 +17,16 @@ sums them in the step's own derivative array, where the step then forms
 w = v - dt B.  The diffusion solve is exact by fast diagonalization (the
 operator is a Kronecker sum of three 1D second differences on the free
 nodes): its zero-embedded eigenvector transforms are per-axis matmuls
-through the same helper, reading w and writing the solve whole.
-``grid.laplacian_eigenbasis`` certifies its 1D identities once per grid,
-and the first step of each trajectory checks its solve by the residual
-test of the weighted CG, which applies the stencil once and would iterate
-only if that residual exceeded DIFFUSION_RTOL.  ``_derivatives_w3`` is the
-one definition of the diagnostic vertical velocity w3: a step takes its
-state's 4D x- and y-derivatives once, ``nonlinear_B`` reuses them, and
-the cumulative trapezoid of their divergence gives the w3 that ``cfl_dt``
-and ``nonlinear_B`` share.  The projection returns BC-clean fields, so no
+through the same helper, reading w and writing the solve whole, and the
+divide by the symbol is a product with its reciprocal, cached per grid and
+dt nu.  ``grid.laplacian_eigenbasis`` certifies its 1D identities once per
+grid, and the first step of each trajectory (step_count 0) checks its
+solve by the residual test of the weighted CG, which applies the stencil
+once and would iterate only if that residual exceeded DIFFUSION_RTOL.
+``_derivatives_w3`` is the one definition of the diagnostic vertical
+velocity w3: a step takes its state's 4D x- and y-derivatives once,
+``nonlinear_B`` reuses them, and the cumulative trapezoid of their
+divergence gives the w3 that ``cfl_dt`` and ``nonlinear_B`` share.  The projection returns BC-clean fields, so no
 boundary assignment follows it and no kernel checks boundary values:
 ``integrate`` projects its input with ``project_H``, and a step projects
 its own (BC-clean) solve in place.
@@ -34,7 +39,7 @@ per-step energy budget
     H2(n+1) + 2 dt nu E2(n+1) <= H2(n) + slack
 
 holds with slack dominated by the (negative) implicit-Euler dissipation
-margin; ``estimates.record_trajectory`` records it from ``integrate``'s
+margin; ``estimates.record_trajectory`` records it from the loop's
 ``on_step(before, after)`` callback.
 """
 
@@ -68,7 +73,7 @@ HEAP_TOP_PAD = 64 << 20
 @dataclass(frozen=True)
 class SimulationParams:
     """The [sim] block of a run configuration.  Forcing is not a parameter:
-    a forced run passes ``forcing_at`` to ``integrate``."""
+    a forced run passes ``forcing_at`` to ``integrate`` or ``advance``."""
 
     nu: float = 1.0
     dt_max: float = 0.01
@@ -141,15 +146,27 @@ def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
     return HorizontalField(adv, g)
 
 
+@functools.lru_cache(maxsize=4)
+def _inverse_symbol(grid: GridSpec, dt_nu: float) -> np.ndarray:
+    """1 / (1 - dt nu (lam_x + lam_y + lam_z)) on the free nodes, read-only:
+    the pointwise factor of the separable solve.  A fixed-dt trajectory
+    takes one or two values of dt nu (its full steps and a last step landing
+    on its end time); four entries keep a few of them while bounding the
+    memory the cache holds (each entry is half a state)."""
+    sym = 1.0 / (1.0 - dt_nu * _grid.laplacian_eigenbasis(grid)[3])
+    sym.setflags(write=False)
+    return sym
+
+
 def _separable_solve(b: np.ndarray, grid: GridSpec, dt_nu: float) -> np.ndarray:
     """Exact solve of (I - dt nu lap_bc) x = b on the free nodes by fast
-    diagonalization: three forward 1D transforms, a pointwise divide by
-    1 - dt nu (lam_x + lam_y + lam_z), three back transforms.  The
-    transforms are zero-embedded, so b's Dirichlet nodes are never read
-    and x is +0.0 on them."""
-    (fx, bx), (fy, by), (fz, bz), lam = _grid.laplacian_eigenbasis(grid)
+    diagonalization: three forward 1D transforms, a pointwise product with
+    ``_inverse_symbol``, three back transforms.  The transforms are
+    zero-embedded, so b's Dirichlet nodes are never read and x is +0.0 on
+    them."""
+    (fx, bx), (fy, by), (fz, bz), _ = _grid.laplacian_eigenbasis(grid)
     y = along(fz, along(fy, along(fx, b, 1), 2), 3)
-    y /= 1.0 - dt_nu * lam
+    y *= _inverse_symbol(grid, dt_nu)
     # rebinding y frees each intermediate as soon as it is consumed
     y = along(bx, y, 1)
     y = along(by, y, 2)
@@ -227,7 +244,7 @@ def step(state: SimState, params: SimulationParams,
 
 
 def reached(t: float, t_end: float) -> bool:
-    """The stop rule of ``integrate``: t lies within rounding of t_end."""
+    """The stop rule of ``advance``: t lies within rounding of t_end."""
     return t >= t_end - 1e-14 * max(t_end, 1.0)
 
 
@@ -251,19 +268,16 @@ def _retain_heap() -> None:
     mallopt(-2, HEAP_TOP_PAD)  # -2 is M_TOP_PAD
 
 
-def integrate(v0: HorizontalField, t_end: float, params: SimulationParams,
-              forcing_at=None, on_step=None) -> SimState:
-    """Advance project_H(v0) from t = 0 to t_end; the final
-    partial step lands exactly on t_end.  Deterministic for fixed inputs.
+def advance(state: SimState, t_end: float, params: SimulationParams,
+            forcing_at=None, on_step=None) -> SimState:
+    """Step ``state`` from its time to t_end, continuing its step count;
+    the final partial step lands exactly on t_end.  The state is taken as
+    it is: it must already lie in H.  Deterministic for fixed inputs.
 
     ``forcing_at`` is an optional callable t -> HorizontalField giving the
     source at the start of each step.  ``on_step``, if given, is called as
     ``on_step(before, after)`` after every step."""
-    if t_end < 0:
-        raise InputError("integrate: negative duration")
     _retain_heap()
-    state = SimState(t=0.0, v=project_H(v0))
-    del v0   # a caller's temporary start field is freed before the first step
     while not reached(state.t, t_end):
         # the source is a temporary that step frees once it is added
         new = step(state, params, dt_cap=t_end - state.t,
@@ -272,6 +286,18 @@ def integrate(v0: HorizontalField, t_end: float, params: SimulationParams,
             on_step(state, new)
         state = new
     return state
+
+
+def integrate(v0: HorizontalField, t_end: float, params: SimulationParams,
+              forcing_at=None, on_step=None) -> SimState:
+    """Advance project_H(v0) from t = 0 to t_end (``advance``)."""
+    if t_end < 0:
+        raise InputError("integrate: negative duration")
+    # handed over in a list, so that advance holds the start state alone:
+    # neither it nor a caller's temporary v0 outlives the first step
+    start = [SimState(t=0.0, v=project_H(v0))]
+    del v0
+    return advance(start.pop(), t_end, params, forcing_at, on_step)
 
 
 def solve_S(v0: HorizontalField, t: float, params: SimulationParams,

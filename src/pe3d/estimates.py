@@ -18,7 +18,7 @@ check_growth_bound.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def record_trajectory(v0: HorizontalField, params: SimulationParams,
     state = integrate(v0, params.t_end, params, forcing_at, on_step)
     if not samples:
         samples.append((0.0, norm_report(state.v), 0.0))
-    rows = [(t, *astuple(report), slack) for t, report, slack in samples]
+    rows = [(t, r.H2, r.E2, r.J, r.K, r.Kbar, slack) for t, r, slack in samples]
     return TrajectoryDiagnostics(*(np.array(col) for col in zip(*rows))), state.v
 
 

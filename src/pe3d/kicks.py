@@ -5,9 +5,11 @@ The chain is X_n = S(T)[X_{n-1}] + xi_n with i.i.d. kicks: mode sums
 constraint analytically, rescaled in coefficient space so the squared
 Laplacian norm stays below the bound R (and, as a safeguard, the squared
 V-norm too); a draw records its V-norm and whether either rescaling fired.
-``run_chain`` returns the chain's trace, one row per step.  Its post-burn-in
-rows are the samples of the empirical invariant measure (time averages in
-the sense of Krylov-Bogolyubov); ``wasserstein1`` measures the distance
+The chain is one kicked trajectory (``chain_step``), so ``run_chain``
+projects it and certifies its diffusion solve once, at its start, and
+returns the chain's trace, one row per step.  Its post-burn-in rows are
+the samples of the empirical invariant measure (time averages in the
+sense of Krylov-Bogolyubov); ``wasserstein1`` measures the distance
 between two such sample sets.
 
 RNG: numpy PCG64 seeded through SeedSequence((seed, chain_index)), which
@@ -17,15 +19,16 @@ is documented platform-stable.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import SimulationParams, solve_S
-from .errors import InputError
+from .dynamics import SimState, SimulationParams, advance
+from .errors import DivergenceError, InputError
 from .fields import HorizontalField
 from .grid import GridSpec, _trapezoid_weights, along, diff_matrix, weights2
 from .norms import _report
+from .projection import project_H
 from .sampling import mode_factors, mode_sum
 
 
@@ -121,13 +124,19 @@ def chain_rng(config: KickConfig, chain_index: int = 0) -> np.random.Generator:
         np.random.SeedSequence((config.seed, chain_index))))
 
 
-def chain_step(X: HorizontalField, rng: np.random.Generator, config: KickConfig,
-               params: SimulationParams) -> tuple[HorizontalField, KickDraw]:
-    """X <- S(T)[X] + xi, unprojected: both summands lie in the discrete
-    space H, and the next step's ``solve_S`` projects its input anyway."""
-    flowed = solve_S(X, config.T, params)
-    draw = draw_kick(rng, X.grid, config)
-    return flowed + draw.xi, draw
+def chain_step(state: SimState, rng: np.random.Generator, config: KickConfig,
+               params: SimulationParams) -> tuple[SimState, KickDraw]:
+    """X <- S(T)[X] + xi for the chain state ``state`` (T > 0).  Flows
+    replace(state, t=0.0) by T (``dynamics.advance``), so each kick's steps
+    are those of a fresh trajectory from X while the step count runs on and
+    only the chain's first step certifies its diffusion solve; then adds
+    the kick in place.  Not projected: both summands lie in the discrete
+    space H (the flowed state was projected by its own last step, and a
+    mode sum lies in H by construction)."""
+    state = advance(replace(state, t=0.0), config.T, params)
+    draw = draw_kick(rng, state.v.grid, config)
+    state.v.data += draw.xi.data
+    return state, draw
 
 
 @dataclass
@@ -147,15 +156,20 @@ class ChainTrace:
 def run_chain(config: KickConfig, params: SimulationParams,
               v0: HorizontalField, chain_index: int = 0) -> ChainTrace:
     """Iterate the chain N times from project_H(v0) and record rows
-    n = 1..N; the first step's ``solve_S`` does that projection."""
+    n = 1..N.  A DivergenceError gains the chain index and the kick n whose
+    flow diverged (``chain`` and ``kick`` in its diagnostics)."""
     if config.T <= 0:
         raise InputError("run_chain: inter-kick time T must be positive "
                          "(T = 0 in a config means: measure T_V first)")
-    X, rng = v0, chain_rng(config, chain_index)
+    state, rng = SimState(t=0.0, v=project_H(v0)), chain_rng(config, chain_index)
     rows = []
     for n in range(1, config.N + 1):
-        X, draw = chain_step(X, rng, config, params)
-        rep = _report(X, kbar=False)
+        try:
+            state, draw = chain_step(state, rng, config, params)
+        except DivergenceError as e:
+            e.diagnostics.update(chain=chain_index, kick=n)
+            raise
+        rep = _report(state.v, kbar=False)
         rows.append((n, rep.H2, rep.E2, rep.J, rep.K, draw.V2, draw.rescaled))
     return ChainTrace(*(np.array(col) for col in zip(*rows)))
 

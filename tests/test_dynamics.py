@@ -2,6 +2,7 @@
 
 import platform
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -138,6 +139,21 @@ def _dense_system(grid, dt_nu, w):
     return A, rhs, free
 
 
+def _assert_matches_dense(grid, dt_nu, b, got):
+    """``got``, the separable solve of b at dt nu, against the dense
+    operator: every Dirichlet node is +0.0 (b's Dirichlet values must not
+    reach it), the residual is at rounding, and it matches numpy's direct
+    solve on the free unknowns."""
+    A, rhs, free = _dense_system(grid, dt_nu, HorizontalField(b, grid))
+    got = got.ravel()
+    assert np.all(got[~free] == 0.0) and not np.signbit(got[~free]).any()
+    res = np.linalg.norm(A @ got - rhs) / np.linalg.norm(rhs)
+    assert res <= 1e-12
+    expected = np.linalg.solve(A[np.ix_(free, free)], rhs[free])
+    assert np.allclose(got[free], expected, rtol=1e-10,
+                       atol=1e-10 * np.abs(expected).max())
+
+
 def _count_cg(monkeypatch):
     """Route dynamics' weighted_cg through a counter; returns the lists of
     its calls and of its operator applications."""
@@ -193,14 +209,51 @@ class TestImplicitDiffusion:
         # Dirichlet node of the result is +0.0
         grid = GridSpec(L1=L1, L2=L2, h=h, n1=n1, n2=n2, nz=nz)
         w = raw_field(grid, np.random.default_rng(seed))
-        A, rhs, free = _dense_system(grid, dt_nu, w)
-        got = _separable_solve(w.data.copy(), grid, dt_nu).ravel()
-        assert np.all(got[~free] == 0.0) and not np.signbit(got[~free]).any()
-        res = np.linalg.norm(A @ got - rhs) / np.linalg.norm(rhs)
-        assert res <= 1e-12
-        expected = np.linalg.solve(A[np.ix_(free, free)], rhs[free])
-        assert np.allclose(got[free], expected, rtol=1e-10,
-                           atol=1e-10 * np.abs(expected).max())
+        _assert_matches_dense(grid, dt_nu, w.data,
+                              _separable_solve(w.data.copy(), grid, dt_nu))
+
+    def test_inverse_symbol_is_read_only_per_dt_nu(self):
+        # the cached reciprocal of 1 - dt nu lam is the exact reciprocal,
+        # cannot be written, and two values of dt nu on one grid get their
+        # own symbols
+        grid = GridSpec(L1=1.5, L2=0.8, h=1.2, n1=5, n2=6, nz=4)
+        lam = grid_mod.laplacian_eigenbasis(grid)[3]
+        for dt_nu in (1e-3, 0.3):
+            sym = dynamics._inverse_symbol(grid, dt_nu)
+            assert not sym.flags.writeable
+            with pytest.raises(ValueError):
+                sym[0, 0, 0] = 1.0
+            assert sym.tobytes() == (1.0 / (1.0 - dt_nu * lam)).tobytes()
+        assert (dynamics._inverse_symbol(grid, 1e-3).tobytes()
+                != dynamics._inverse_symbol(grid, 0.3).tobytes())
+
+    def test_solves_match_dense_at_each_dt_nu_on_one_grid(self, monkeypatch):
+        # several dt nu on one grid, in turn, then a trajectory whose last
+        # step is shortened by dt_cap to land on its end time: each solve
+        # against the dense operator, so a symbol cached for another dt nu
+        # fails
+        grid = GridSpec(L1=1.3, L2=0.9, h=0.7, n1=4, n2=5, nz=4)
+        rng = np.random.default_rng(11)
+        for dt_nu in (1e-4, 0.05, 1.0, 0.05, 1e-4):
+            b = raw_field(grid, rng).data
+            _assert_matches_dense(grid, dt_nu, b,
+                                  _separable_solve(b.copy(), grid, dt_nu))
+        seen = []
+        real = dynamics._separable_solve
+
+        def spy(b, g, dt_nu):
+            out = real(b, g, dt_nu)
+            seen.append((b.copy(), dt_nu, out.copy()))
+            return out
+
+        monkeypatch.setattr(dynamics, "_separable_solve", spy)
+        params = SimulationParams(nu=0.7, dt_max=4e-3, cfl=1.0)
+        integrate(random_smooth_field(np.random.default_rng(12), grid), 0.01, params)
+        dt_nus = [dt_nu for _, dt_nu, _ in seen]
+        assert dt_nus[:2] == [4e-3 * 0.7] * 2 and len(dt_nus) == 3
+        assert 0.0 < dt_nus[2] < dt_nus[0]
+        for b, dt_nu, got in seen:
+            _assert_matches_dense(grid, dt_nu, b, got)
 
     def test_one_operator_application_per_solve(self, monkeypatch):
         # only a trajectory's first step hands its separable solve to CG;
@@ -463,6 +516,23 @@ class TestIntegrate:
         assert state.t == pytest.approx(0.05, rel=1e-14)
         # the recorded steps are the steps of the unrecorded run
         assert np.array_equal(state.v.data, solve_S(smooth8, 0.05, params).data)
+
+    def test_start_states_are_freed_after_the_first_step(self, grid8):
+        # integrate holds neither a caller's temporary start field nor its
+        # projection once the first step is taken, so a long run at a large
+        # grid keeps no extra state
+        start = [random_smooth_field(np.random.default_rng(2), grid8)]
+        refs = [weakref.ref(start[0].data)]
+
+        def on_step(before, after):
+            if before.step_count == 0:
+                refs.append(weakref.ref(before.v.data))
+            else:
+                assert [r() for r in refs] == [None, None]
+
+        state = integrate(start.pop(), 0.03, SimulationParams(dt_max=0.01),
+                          on_step=on_step)
+        assert state.step_count == 3 and len(refs) == 2
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap top pad is a glibc malloc setting")

@@ -8,7 +8,7 @@ import pytest
 from conftest import count_calls_everywhere
 from pe3d.cli import main
 from pe3d.config import parse_config
-from pe3d import dynamics, experiments
+from pe3d import dynamics, experiments, kicks
 from pe3d.errors import DivergenceError, SolverError
 from pe3d.estimates import eta_partition
 from pe3d.experiments import (CHAIN_HEADER, N_WINDOWS, TRAJECTORY_HEADER,
@@ -281,6 +281,39 @@ class TestKicksDriver:
         assert rep["split_wasserstein_E2"] == wasserstein1(pooled[0], pooled[1])
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "chain_0.csv", "chain_1.csv", "kicks_report.json"]
+
+    def test_diverging_chain_names_its_chain_and_kick(self, tmp_path, monkeypatch):
+        # nonlinear_B turns NaN once two kicks are drawn, so the flow of
+        # kick 3 of chain 0 diverges on its first step: the step's own
+        # diagnostics (t within the kick, the chain-wide step count) plus
+        # where in the run it failed
+        drawn = []
+        draw, real_B = kicks.draw_kick, dynamics.nonlinear_B
+
+        def counting_draw(*args, **kw):
+            drawn.append(1)
+            return draw(*args, **kw)
+
+        def poisoned(*args, **kw):
+            B = real_B(*args, **kw)
+            if len(drawn) >= 2:
+                B.data[...] = np.nan
+            return B
+
+        monkeypatch.setattr(kicks, "draw_kick", counting_draw)
+        monkeypatch.setattr(dynamics, "nonlinear_B", poisoned)
+        cfg = _cfg(KICKS + "T = 0.02\nN = 6\nburn_in = 1\n")
+        with np.errstate(invalid="ignore"):
+            assert run_experiment(cfg, output=str(tmp_path)) == 3
+        fail = json.loads((tmp_path / "failure.json").read_text())
+        assert fail["kind"] == "error"
+        assert fail["detail"].startswith("state diverged")
+        diag = fail["diagnostics"]
+        assert set(diag) == {"t", "step", "dt", "H_before", "chain", "kick"}
+        assert (diag["chain"], diag["kick"], diag["t"]) == (0, 3, 0.0)
+        # two kicks of four steps of dt_max = 0.005 came before
+        assert (diag["step"], diag["dt"]) == (8, 0.005)
+        assert not (tmp_path / "chain_0.csv").exists()
 
     def test_T_V_probes_ignore_record_every(self):
         # record_every thins the CSVs only; the probes' decay times are

@@ -2,6 +2,7 @@
 assignment-problem oracle)."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import wasserstein_distance
 
 from conftest import count_calls_everywhere, run_with_blas_threads
-from pe3d.dynamics import SimulationParams, solve_S
+from pe3d import dynamics
+from pe3d.dynamics import SimState, SimulationParams, solve_S
 from pe3d.errors import InputError
 from pe3d.fields import bc_residual
 from pe3d.grid import GridSpec, laplacian_bc, weights3
 from pe3d.kicks import (KickConfig, _grams, chain_rng, chain_step,
                         draw_kick, run_chain, wasserstein1)
+from pe3d.linalg import weighted_cg
 from pe3d.norms import _report, norm_H, norm_report, norm_V
 from pe3d.projection import constraint_residual, project_H
 from pe3d.sampling import mode_sum, random_smooth_field
@@ -140,23 +143,75 @@ class TestChain:
         # X_n, bit for bit, and the draw that made it
         v0 = random_smooth_field(np.random.default_rng(4), grid6)
         trace = run_chain(kick_cfg, params, v0, chain_index=2)
-        X, rng = v0, chain_rng(kick_cfg, 2)
+        state, rng = SimState(t=0.0, v=project_H(v0)), chain_rng(kick_cfg, 2)
         for i in range(kick_cfg.N):
-            X, draw = chain_step(X, rng, kick_cfg, params)
+            state, draw = chain_step(state, rng, kick_cfg, params)
+            X = state.v
             assert (trace.H2[i], trace.E2[i], trace.K[i]) == (
                 norm_H(X) ** 2, norm_V(X) ** 2, _report(X, kbar=False).K)
             assert trace.J[i] == norm_report(X).J
             assert (trace.kick_V2[i], trace.rescaled[i]) == (draw.V2, draw.rescaled)
 
-    def test_one_projection_per_chain_step(self, grid6, kick_cfg, params,
-                                           monkeypatch):
-        # project_H runs on each solve_S input, the chain's start included;
-        # a step projects its own solve in place.  Every pe3d name for
-        # project_H counts, so no module can project past the count
-        calls = count_calls_everywhere(monkeypatch, project_H)
+    def test_one_projection_and_one_certification_per_chain(
+            self, grid6, kick_cfg, params, monkeypatch):
+        # a chain is one trajectory: project_H runs on its start only (a
+        # step projects its own solve in place, and a kicked state is not
+        # re-projected), and only its first step hands its diffusion solve
+        # to the weighted CG.  Every pe3d name for either function counts,
+        # so no module can call one past the count
+        projections = count_calls_everywhere(monkeypatch, project_H)
+        certifications = count_calls_everywhere(monkeypatch, weighted_cg)
+        steps = count_calls_everywhere(monkeypatch, dynamics.step)
         run_chain(kick_cfg, params,
                   random_smooth_field(np.random.default_rng(5), grid6))
-        assert len(calls) == kick_cfg.N
+        assert len(projections) == len(certifications) == 1
+        assert len(steps) >= 2 * kick_cfg.N
+
+    def test_chain_states_lie_in_H(self, grid6, kick_cfg, params):
+        # the premise that makes a re-projection of the kicked state
+        # redundant: every X_n is BC-clean and meets the constraint
+        state = SimState(t=0.0, v=project_H(
+            random_smooth_field(np.random.default_rng(6), grid6)))
+        rng = chain_rng(kick_cfg, 0)
+        for _ in range(kick_cfg.N):
+            state, _ = chain_step(state, rng, kick_cfg, params)
+            assert bc_residual(state.v) == 0.0
+            assert constraint_residual(state.v) <= 1e-12
+
+    def test_trace_matches_the_projected_replay(self, grid6, kick_cfg, params):
+        # X_n = solve_S(X_{n-1}) + xi_n, where every kick's flow starts a
+        # new trajectory from project_H of the kicked state: the one kicked
+        # trajectory differs from it by rounding only
+        v0 = random_smooth_field(np.random.default_rng(7), grid6)
+        trace = run_chain(kick_cfg, params, v0, chain_index=3)
+        X, rng = v0, chain_rng(kick_cfg, 3)
+        for i in range(kick_cfg.N):
+            X = solve_S(X, kick_cfg.T, params)
+            draw = draw_kick(rng, grid6, kick_cfg)
+            X = X + draw.xi
+            rep = _report(X, kbar=False)
+            for got, want in zip((trace.H2[i], trace.E2[i], trace.J[i], trace.K[i]),
+                                 (rep.H2, rep.E2, rep.J, rep.K)):
+                assert abs(got - want) <= 1e-13 * abs(want)
+            assert (trace.kick_V2[i], trace.rescaled[i]) == (draw.V2, draw.rescaled)
+
+    def test_certifying_every_chain_step_changes_no_byte(self, grid6, kick_cfg,
+                                                        params, monkeypatch):
+        v0 = random_smooth_field(np.random.default_rng(8), grid6)
+
+        def trace_bytes():
+            tr = run_chain(kick_cfg, params, v0, chain_index=1)
+            return np.column_stack([tr.H2, tr.E2, tr.J, tr.K, tr.kick_V2,
+                                    tr.rescaled]).tobytes()
+
+        once = trace_bytes()
+        certifications = count_calls_everywhere(monkeypatch, weighted_cg)
+        steps = count_calls_everywhere(monkeypatch, dynamics.step)
+        real = dynamics._implicit_diffusion
+        monkeypatch.setattr(dynamics, "_implicit_diffusion",
+                            lambda w, dt, nu, certify: real(w, dt, nu, True))
+        assert trace_bytes() == once
+        assert len(certifications) == len(steps) >= 2 * kick_cfg.N
 
     def test_chain_indices_decorrelate(self, grid6, kick_cfg, params):
         v0 = random_smooth_field(np.random.default_rng(0), grid6)
@@ -167,18 +222,19 @@ class TestChain:
     def test_checkpoint_restart_markov_surrogate(self, grid6, kick_cfg, params):
         # the future depends only on (X_k, rng state): duplicating both at
         # step k and continuing gives identical traces
-        X = project_H(random_smooth_field(np.random.default_rng(1), grid6))
+        state = SimState(t=0.0, v=project_H(
+            random_smooth_field(np.random.default_rng(1), grid6)))
         rng = chain_rng(kick_cfg, 0)
         for _ in range(3):
-            X, _ = chain_step(X, rng, kick_cfg, params)
-        fork_X, fork_rng = X.copy(), copy.deepcopy(rng)
+            state, _ = chain_step(state, rng, kick_cfg, params)
+        fork, fork_rng = replace(state, v=state.v.copy()), copy.deepcopy(rng)
         tail_a, tail_b = [], []
         for _ in range(3):
-            X, _ = chain_step(X, rng, kick_cfg, params)
-            tail_a.append(X.data.copy())
+            state, _ = chain_step(state, rng, kick_cfg, params)
+            tail_a.append(state.v.data.copy())
         for _ in range(3):
-            fork_X, _ = chain_step(fork_X, fork_rng, kick_cfg, params)
-            tail_b.append(fork_X.data.copy())
+            fork, _ = chain_step(fork, fork_rng, kick_cfg, params)
+            tail_b.append(fork.v.data.copy())
         for a, b in zip(tail_a, tail_b):
             assert np.array_equal(a, b)
 
