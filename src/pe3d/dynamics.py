@@ -21,8 +21,8 @@ through the same helper, reading w and writing the solve whole, and the
 divide by the symbol is a product with its reciprocal, cached per grid and
 dt nu.  ``grid.laplacian_eigenbasis`` certifies its 1D identities once per
 grid, and the first step of each trajectory (step_count 0) checks its
-solve by the residual test of the weighted CG, which applies the stencil
-once and would iterate only if that residual exceeded DIFFUSION_RTOL.
+solve by the residual test of a weighted CG with no iteration budget: one
+stencil application accepts it, or raises SolverError; it never repairs it.
 ``_derivatives_w3`` is the one definition of the diagnostic vertical
 velocity w3: a step takes its state's 4D x- and y-derivatives once,
 ``nonlinear_B`` reuses them, and the cumulative trapezoid of their
@@ -33,7 +33,7 @@ its own (BC-clean) solve in place.
 
 A step only advances the state; each ``SimState`` carries the dt of the
 step that produced it.  The skew-symmetrized advection makes the discrete
-trilinear form <B(v,v), v> vanish up to the constraint residual, so the
+pairing <B(v), v> vanish up to the constraint residual, so the
 per-step energy budget
 
     H2(n+1) + 2 dt nu E2(n+1) <= H2(n) + slack
@@ -114,23 +114,21 @@ def _derivatives_w3(v: HorizontalField
     return dv, np.negative(w3, out=w3)
 
 
-def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
-                w3: np.ndarray, dv: tuple[np.ndarray, np.ndarray]) -> HorizontalField:
-    """Skew-symmetrized advection
-    (1/2)[(u.grad)v + div(u v)] with u = (v_adv, w3).
+def nonlinear_B(v: HorizontalField, w3: np.ndarray,
+                dv: tuple[np.ndarray, np.ndarray]) -> HorizontalField:
+    """Skew-symmetrized advection of v by itself,
+    (1/2)[(u.grad)v + div(u v)] with u = (v, w3).
 
     Both forms use the same SBP difference stencils, so the energy pairing
-    <B(v,v), v> reduces to boundary terms that vanish for BC-clean,
+    <B(v), v> reduces to boundary terms that vanish for BC-clean,
     constraint-satisfying states.  No projection is applied here.  ``w3``
-    is the vertical velocity of v_adv and ``dv`` the x- and y-derivatives
-    of v, both from ``_derivatives_w3``.  ``dv`` is consumed: the six terms
-    are summed left to right in dv[0], the advective ones first, and dv[1]
-    is the scratch array of each term before it is added.
+    and ``dv`` are the vertical velocity and the x- and y-derivatives of v
+    from ``_derivatives_w3``.  ``dv`` is consumed: the six terms are summed
+    left to right in dv[0], the advective ones first, and dv[1] is the
+    scratch array of each term before it is added.
     """
-    if v_adv.data.shape != v.data.shape:
-        raise InputError("nonlinear_B: field shapes differ")
     g = v.grid
-    a1, a2 = v_adv.u1, v_adv.u2
+    a1, a2 = v.u1, v.u2
     mx = diff_matrix("sbp", g.n1, g.d1)
     my = diff_matrix("sbp", g.n2, g.d2)
     mz = diff_matrix("sbp", g.nz, g.dz)
@@ -150,9 +148,9 @@ def nonlinear_B(v_adv: HorizontalField, v: HorizontalField,
 def _inverse_symbol(grid: GridSpec, dt_nu: float) -> np.ndarray:
     """1 / (1 - dt nu (lam_x + lam_y + lam_z)) on the free nodes, read-only:
     the pointwise factor of the separable solve.  A fixed-dt trajectory
-    takes one or two values of dt nu (its full steps and a last step landing
-    on its end time); four entries keep a few of them while bounding the
-    memory the cache holds (each entry is half a state)."""
+    takes one or two values of dt nu (its full steps and a last one landing
+    on its end time); four entries, each half a state, keep a few.  The
+    ladder of ``verify`` takes about 15 in turn, so it rebuilds each."""
     sym = 1.0 / (1.0 - dt_nu * _grid.laplacian_eigenbasis(grid)[3])
     sym.setflags(write=False)
     return sym
@@ -179,10 +177,10 @@ def _implicit_diffusion(w: HorizontalField, dt: float, nu: float,
     solve, exact once ``laplacian_eigenbasis`` has certified its basis.
     None if the solve is not finite (the state diverged; a non-finite
     entry on a free node of w makes it so).  With ``certify`` a finite
-    solve starts the weighted CG, whose initial residual test checks it
-    against the stencil operator and accepts it unless it exceeds
-    DIFFUSION_RTOL; w's Dirichlet faces are then zeroed in place to make
-    CG's right-hand side."""
+    solve starts a weighted CG with no iteration budget, whose initial
+    residual test against the stencil operator accepts it as it is or
+    raises SolverError with a residual above DIFFUSION_RTOL; w's Dirichlet
+    faces are zeroed in place to make CG's right-hand side."""
     g = w.grid
     x = _separable_solve(w.data, g, dt * nu)
     if not np.isfinite(x).all():
@@ -195,9 +193,7 @@ def _implicit_diffusion(w: HorizontalField, dt: float, nu: float,
             return zero_dirichlet(lap)
 
         x = weighted_cg(apply_op, zero_dirichlet(w.data), _grid.weights3(g)[None],
-                        rel_tol=DIFFUSION_RTOL,
-                        max_iter=200 * max(g.n1, g.n2, g.nz), x0=x,
-                        label="implicit-diffusion")
+                        rel_tol=DIFFUSION_RTOL, max_iter=0, x0=x, label="implicit-diffusion")
     return HorizontalField(x, g)
 
 
@@ -217,15 +213,15 @@ def step(state: SimState, params: SimulationParams,
     diffusion, projection.  ``forcing`` is the source at the current time
     (None for none); ``dt_cap`` limits dt so a trajectory can land exactly
     on a target time.  Only a trajectory's first step (step_count 0) checks
-    its diffusion solve against the stencil; a non-finite solve raises
-    DivergenceError before that check and before the projection."""
+    its diffusion solve (SolverError if it fails); a non-finite solve
+    raises DivergenceError before that check and before the projection."""
     v = state.v
     dv, w3 = _derivatives_w3(v)
     dt = cfl_dt(v, params, w3)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 
-    w = nonlinear_B(v, v, w3=w3, dv=dv)
+    w = nonlinear_B(v, w3=w3, dv=dv)
     del w3, dv   # not needed past the advection; frees them before the solve
     # w = v - dt B, in B's own array
     w.data *= -dt

@@ -6,7 +6,8 @@ report.  run_experiment maps outcomes to exit codes:
 
     0  success
     2  an asserted experimental property failed (ExperimentFailure)
-    3  solver or input error
+    3  solver or input error, such as a key set that the experiment does
+       not read (``_READS``)
 
 All failures leave a diagnostic failure.json in the output directory: a
 DivergenceError adds its diagnostics, a SolverError that carries its final
@@ -145,19 +146,18 @@ def _forcing_field(grid: GridSpec, seed: int, target_H2: float) -> HorizontalFie
 # Drivers
 # ---------------------------------------------------------------------------
 
-def _reject_ignored(cfg: RunConfig, read: tuple[str, ...]) -> None:
-    """An InputError naming every section key that is not in ``read`` and
-    differs from its default, and ``record_every`` unless it is 1: an
-    experiment that reads only ``read`` would parse those keys and ignore
-    them.  kick.seed is always read: run_experiment's seed argument sets it
-    for every experiment."""
-    ignored = [f"{section}.{f.name}"
-               for section, block in (("grid", cfg.grid), ("sim", cfg.sim),
-                                      ("kick", cfg.kick), ("experiment", cfg.exp))
+def _reject_ignored(cfg: RunConfig) -> None:
+    """An InputError naming every key set to anything but its default that
+    ``cfg.experiment`` does not read (``_READS``)."""
+    read = _READS[cfg.experiment]
+    if cfg.experiment == "kicks" and cfg.kick.T == 0:
+        read += ("sim.t_end",)   # the horizon of the T_V probes
+    ignored = [key for section, block in (("grid", cfg.grid), ("sim", cfg.sim),
+                                          ("kick", cfg.kick), ("experiment", cfg.exp))
                for f in fields(block)
-               if f"{section}.{f.name}" not in read + ("kick.seed",)
-               and getattr(block, f.name) != f.default]
-    if cfg.record_every != 1:
+               if section not in read and (key := f"{section}.{f.name}") not in read
+               and key != "kick.seed" and getattr(block, f.name) != f.default]
+    if cfg.record_every != 1 and "record_every" not in read:
         ignored.append("record_every")
     if ignored:
         raise InputError(f"{cfg.experiment} reads only {', '.join(read)} from "
@@ -165,8 +165,6 @@ def _reject_ignored(cfg: RunConfig, read: tuple[str, ...]) -> None:
 
 
 def run_verify(cfg: RunConfig, outdir: Path) -> dict:
-    # the ladder fixes its own grids and time steps
-    _reject_ignored(cfg, ("sim.nu",))
     rep = verify_manufactured(cfg.sim.nu)
     report = asdict(rep)
     _write_json(outdir / "convergence.json", report)
@@ -235,11 +233,6 @@ def measure_T_V(cfg: RunConfig) -> tuple[float, list[float]]:
     return max(T_V_SAFETY * max(times), 0.01), times
 
 
-#: run_kicks cuts each chain's post-burn-in E2 samples into this many
-#: equal windows and reports the W1 distances of consecutive windows
-N_WINDOWS = 5
-
-
 def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
     R = cfg.kick.R
     if cfg.kick.T > 0:
@@ -252,19 +245,13 @@ def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
         v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 100 + k, R, "kick.R")
         traces.append(run_chain(kc, cfg.sim, v0, chain_index=k))
         write_chain_csv(outdir / f"chain_{k}.csv", traces[-1])
-    # each chain's post-burn-in E2 samples, cut into N_WINDOWS equal windows
     pooled_E2 = [tr.E2[cfg.kick.burn_in:] for tr in traces]
-    width = len(pooled_E2[0]) // N_WINDOWS
-    starts = [i * width for i in range(N_WINDOWS)] if width else []
-    series = [[wasserstein1(E2[a:a + width], E2[b:b + width])
-               for a, b in zip(starts, starts[1:])] for E2 in pooled_E2]
     max_E2 = max(float(tr.E2.max()) for tr in traces)
     report = {
         "T": T, "T_probe_times": probe_times, "R": R,
         "n_chains": cfg.exp.n_chains, "N": cfg.kick.N,
         "burn_in": cfg.kick.burn_in,
         "max_E2": max_E2, "bound_4R": 4.0 * R,
-        "window_wasserstein_E2": series,
         "rescale_fraction": float(np.mean(
             [tr.rescaled.mean() for tr in traces])),
     }
@@ -283,7 +270,6 @@ def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def run_diag(cfg: RunConfig, outdir: Path) -> dict:
-    _reject_ignored(cfg, ("experiment.input", "experiment.eta", "experiment.f_H2"))
     pattern = cfg.exp.input
     if not pattern:
         raise InputError("diag: experiment.input must name a directory or glob "
@@ -329,6 +315,22 @@ def run_probe(cfg: RunConfig, outdir: Path) -> dict:
 _DRIVERS = {"verify": run_verify, "decay": run_decay, "absorb": run_absorb,
             "kicks": run_kicks, "diag": run_diag, "probe": run_probe}
 
+#: the config keys each driver reads, a section name standing for all its
+#: keys (verify's ladder fixes its own grids and time steps); kicks also
+#: reads sim.t_end when it measures T (kick.T = 0), and every driver reads
+#: kick.seed, which run_experiment's seed argument sets
+_READS = {
+    "verify": ("sim.nu",),
+    "decay": ("grid", "sim", "experiment.R", "experiment.eps", "experiment.n_ic",
+              "record_every"),
+    "absorb": ("grid", "sim", "experiment.R", "experiment.f_H2",
+               "experiment.window_frac", "experiment.n_ic", "record_every"),
+    "kicks": ("grid", "sim.nu", "sim.dt_max", "sim.cfl", "kick", "experiment.n_chains"),
+    "diag": ("experiment.input", "experiment.eta", "experiment.f_H2"),
+    "probe": ("grid", "sim.nu", "sim.dt_max", "sim.cfl", "experiment.R",
+              "experiment.deltas", "experiment.probe_t"),
+}
+
 
 def run_experiment(cfg: RunConfig, seed: int | None = None,
                    output: str | None = None) -> int:
@@ -340,6 +342,7 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
+        _reject_ignored(cfg)
         report = _DRIVERS[cfg.experiment](cfg, outdir)
     except ExperimentFailure as e:
         _write_json(outdir / "failure.json",

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import pe3d
+from pe3d import dynamics
 from pe3d.errors import InputError, SolverError
-from pe3d.fields import HorizontalField
+from pe3d.fields import HorizontalField, apply_bc
 from pe3d.grid import GridSpec, laplacian_bc, weights3
 from pe3d.linalg import weighted_cg
 from pe3d.projection import project_H
@@ -69,6 +70,26 @@ def rng() -> np.random.Generator:
 def raw_field(grid: GridSpec, rng: np.random.Generator) -> HorizontalField:
     """A raw Gaussian field with no boundary or constraint structure."""
     return HorizontalField(rng.standard_normal((2,) + grid.shape), grid)
+
+
+def generic_field(grid: GridSpec, seed: int) -> HorizontalField:
+    """A smooth field in H outside the half of phase space that every mode
+    sum lies in (mode sums are invariant under the point reflection
+    v(x, y, z) -> -v(L1-x, L2-y, z)): a projected Gaussian field smoothed
+    by three implicit diffusion solves at dt nu = 0.01."""
+    v = apply_bc(raw_field(grid, np.random.default_rng(seed)))
+    for _ in range(3):
+        v = dynamics._implicit_diffusion(v, 0.01, 1.0, False)
+    return project_H(v)
+
+
+def scale_inverse_symbol(monkeypatch, factor: float) -> None:
+    """Make the separable diffusion solve faulty: its symbol scaled by
+    ``factor``, so its result is no longer the solve of the stencil
+    operator."""
+    real = dynamics._inverse_symbol
+    monkeypatch.setattr(dynamics, "_inverse_symbol",
+                        lambda grid, dt_nu: factor * real(grid, dt_nu))
 
 
 def meshgrid(grid: GridSpec):

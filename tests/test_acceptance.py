@@ -77,9 +77,10 @@ def decay_runs_24():
 
     dt must be small: the implicit Euler diffusion lags exp(-2 nu lam1 t) by
     a factor e^{2x}/(1+x)^2 per step (x = nu lam1 dt), which compounds over
-    t_end/dt steps; dt_max = 1.5e-4 keeps the compounded lag near 1.045,
-    inside the 1.10 allowance, and t_end = 0.1 still covers the measured
-    decay times (<= 0.06)."""
+    t_end/dt steps on a field dominated by the slowest mode.  At 10x this
+    dt (1.5e-3), seed 303 ends at a ratio of 1.229, outside the 1.10
+    allowance; at dt_max = 1.5e-4 the largest ratio over t > 0 is 0.985.
+    t_end = 0.1 covers the measured decay times (<= 0.06)."""
     params = SimulationParams(nu=1.0, dt_max=1.5e-4, cfl=0.4, t_end=0.1)
     out = []
     for i in range(5):
@@ -174,16 +175,17 @@ def test_criterion_3_decay(decay_runs_24, lam1_24):
     times = [measure_decay_time(d, eps) for d in decay_runs_24]
     decayed = all(T is not None for T in times)
 
+    # over t > 0: at t = 0 the ratio is 1 by definition
     worst_ratio = 0.0
     for d in decay_runs_24:
-        bound = d.H2[0] * np.exp(-2.0 * lam1_24 * d.t)
-        worst_ratio = max(worst_ratio, float((d.H2 / bound).max()))
+        bound = d.H2[0] * np.exp(-2.0 * lam1_24 * d.t[1:])
+        worst_ratio = max(worst_ratio, float((d.H2[1:] / bound).max()))
     poincare_ok = worst_ratio <= 1.10
 
     ok = decayed and poincare_ok
     _announce(3, "V-norm decay", ok,
               f"decay times {['%.3f' % T for T in times]} (eps={eps}), "
-              f"H2 vs exp(-2 nu lam1 t): max ratio {worst_ratio:.4f} (<= 1.10, "
+              f"H2 vs exp(-2 nu lam1 t) over t > 0: max ratio {worst_ratio:.4f} (<= 1.10, "
               f"lam1={lam1_24:.2f})")
     assert decayed
     assert poincare_ok

@@ -15,7 +15,8 @@ from pe3d.config import (_SECTION_SCHEMA, ExperimentBlock, RunConfig,
 from pe3d.dynamics import SimulationParams
 from pe3d.errors import InputError
 from pe3d.estimates import TrajectoryDiagnostics
-from pe3d.experiments import (CHAIN_HEADER, TRAJECTORY_HEADER, _write_json,
+from pe3d.experiments import (CHAIN_HEADER, TRAJECTORY_HEADER,
+                              _reject_ignored, _write_json,
                               read_trajectory_csv, write_chain_csv,
                               write_trajectory_csv)
 from pe3d.grid import GridSpec
@@ -115,10 +116,11 @@ class TestConfigParsing:
         for p in (ROOT / d).glob("*.cfg")))
     def test_shipped_configs_parse(self, path):
         # every config in the repository, the benchmark's included, names
-        # its experiment in its file name
+        # its experiment in its file name and sets only keys it reads
         cfg = parse_config((ROOT / path).read_text())
         assert Path(path).stem.startswith(cfg.experiment)
         assert parse_config(serialize_config(cfg)) == cfg
+        _reject_ignored(cfg)
 
 
 _floats = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False,

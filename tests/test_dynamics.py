@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import inner_H, raw_field, ref_second_diff, run_with_blas_threads
+from conftest import (generic_field, inner_H, raw_field, ref_second_diff,
+                      run_with_blas_threads, scale_inverse_symbol)
 from pe3d import dynamics, norms
 from pe3d import grid as grid_mod
-from pe3d.dynamics import (SimState, SimulationParams, _derivatives_w3,
-                           _implicit_diffusion, _separable_solve, cfl_dt,
-                           integrate, nonlinear_B, solve_S, step)
+from pe3d.dynamics import (DIFFUSION_RTOL, SimState, SimulationParams,
+                           _derivatives_w3, _implicit_diffusion,
+                           _separable_solve, cfl_dt, integrate, nonlinear_B,
+                           solve_S, step)
 from pe3d.errors import DivergenceError, InputError, SolverError
 from pe3d.fields import HorizontalField, apply_bc, zero_dirichlet
 from pe3d.grid import GridSpec, along, diff_matrix, diff_sbp
@@ -30,6 +32,11 @@ def smooth8():
     return project_H(random_smooth_field(np.random.default_rng(7), grid))
 
 
+@pytest.fixture(scope="module")
+def generic8():
+    return generic_field(GridSpec(n1=8, n2=8, nz=8), 7)
+
+
 class TestSimulationParams:
     @pytest.mark.parametrize("kw", [dict(nu=0.0), dict(cfl=1.5),
                                     dict(dt_max=-1.0), dict(t_end=-1.0),
@@ -39,16 +46,15 @@ class TestSimulationParams:
             SimulationParams(**kw)
 
 
-def _B(v_adv, v):
-    """nonlinear_B with its inputs: the vertical velocity of v_adv and the
-    horizontal derivatives of v."""
-    return nonlinear_B(v_adv, v, _derivatives_w3(v_adv)[1],
-                       _derivatives_w3(v)[0])
+def _B(v):
+    """nonlinear_B with its inputs, the derivatives and w3 of v."""
+    dv, w3 = _derivatives_w3(v)
+    return nonlinear_B(v, w3, dv)
 
 
 def _reference_B(v_adv, v):
-    """The skew-symmetrized advection component by component, each
-    derivative taken on its own."""
+    """The skew-symmetrized advection of v by v_adv, component by
+    component, each derivative taken on its own."""
     g = v.grid
     w3 = _derivatives_w3(v_adv)[1]
     a1, a2 = v_adv.u1, v_adv.u2
@@ -65,12 +71,12 @@ def _reference_B(v_adv, v):
     return out
 
 
-def _formula_B(v_adv, v, w3, dv):
+def _formula_B(v, w3, dv):
     """nonlinear_B as a formula with a fresh array per term, in the order
     of operations that nonlinear_B keeps while accumulating into dv: the
     six terms summed left to right, then halved."""
     g = v.grid
-    a1, a2 = v_adv.u1, v_adv.u2
+    a1, a2 = v.u1, v.u2
     mx = diff_matrix("sbp", g.n1, g.d1)
     my = diff_matrix("sbp", g.n2, g.d2)
     mz = diff_matrix("sbp", g.nz, g.dz)
@@ -84,40 +90,38 @@ class TestNonlinearTerm:
     def test_passed_w3_matches_reference(self, grid12, rng):
         # the reference sums the advective and the divergence form apart,
         # so the two agree to rounding
-        v_adv, v = raw_field(grid12, rng), raw_field(grid12, rng)
-        ref = _reference_B(v_adv, v)
-        assert np.abs(_B(v_adv, v).data - ref).max() <= 1e-14 * np.abs(ref).max()
+        v = raw_field(grid12, rng)
+        ref = _reference_B(v, v)
+        assert np.abs(_B(v).data - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("grid", [GridSpec(n1=12, n2=12, nz=12),
                                       GridSpec(L1=2.0, L2=0.7, h=1.3,
                                                n1=24, n2=20, nz=12)])
     def test_in_place_accumulation_matches_formula(self, grid, rng):
         # dv is consumed, so each call gets its own
-        v_adv, v = raw_field(grid, rng), raw_field(grid, rng)
-        w3 = _derivatives_w3(v_adv)[1]
-        got = nonlinear_B(v_adv, v, w3, _derivatives_w3(v)[0])
-        ref = _formula_B(v_adv, v, w3, _derivatives_w3(v)[0])
+        v = raw_field(grid, rng)
+        dv, w3 = _derivatives_w3(v)
+        got = nonlinear_B(v, w3, dv)
+        ref = _formula_B(v, w3, _derivatives_w3(v)[0])
         assert got.data.tobytes() == ref.tobytes()
 
-    def test_energy_neutrality(self, smooth8):
-        # the skew-symmetrized form pairs to zero against the state itself
-        B = _B(smooth8, smooth8)
-        scale = norm_H(smooth8) ** 2 * max(norm_V(smooth8), 1.0)
-        assert abs(inner_H(B, smooth8)) < 1e-12 * max(scale, 1.0)
+    def test_energy_neutrality(self, smooth8, generic8):
+        # the skew-symmetrized form pairs to zero against the state itself;
+        # on a mode sum any B does, by symmetry, so the generic field is
+        # the one that tells the skew form from the advective one
+        for v in (smooth8, generic8):
+            scale = norm_H(v) ** 2 * max(norm_V(v), 1.0)
+            assert abs(inner_H(_B(v), v)) < 1e-12 * max(scale, 1.0)
 
-    def test_bilinearity_in_second_argument(self, smooth8):
+    def test_quadratic_in_the_state(self, smooth8):
+        # B(v + w) + B(v - w) = 2 B(v) + 2 B(w): B has no linear or constant term
         w = project_H(random_smooth_field(np.random.default_rng(8), smooth8.grid))
-        lhs = _B(smooth8, smooth8 + 2.0 * w)
-        rhs = _B(smooth8, smooth8) + 2.0 * _B(smooth8, w)
+        lhs = _B(smooth8 + w) + _B(smooth8 - w)
+        rhs = 2.0 * _B(smooth8) + 2.0 * _B(w)
         assert np.allclose(lhs.data, rhs.data, atol=1e-12)
 
     def test_zero_state_maps_to_zero(self, grid8):
-        z = HorizontalField.zeros(grid8)
-        assert np.all(_B(z, z).data == 0.0)
-
-    def test_shape_mismatch(self, grid8, grid12, rng):
-        with pytest.raises(InputError):
-            _B(HorizontalField.zeros(grid8), HorizontalField.zeros(grid12))
+        assert np.all(_B(HorizontalField.zeros(grid8)).data == 0.0)
 
 
 def _dense_system(grid, dt_nu, w):
@@ -264,6 +268,18 @@ class TestImplicitDiffusion:
         assert state.step_count == 6
         assert len(calls) == len(applies) == 1
 
+    def test_faulty_solve_raises_with_its_residual(self, monkeypatch):
+        # a separable solve off by 1e-6 relative fails the first step's
+        # residual test, which raises with that residual after one operator
+        # application: a repaired first step would hide the fault that
+        # every later step keeps
+        scale_inverse_symbol(monkeypatch, 1.0 + 1e-6)
+        calls, applies = _count_cg(monkeypatch)
+        with pytest.raises(SolverError, match="implicit-diffusion") as e:
+            integrate(*_six_steps())
+        assert len(calls) == len(applies) == 1
+        assert DIFFUSION_RTOL < e.value.residual < 1e-3
+
     def test_certifying_every_step_changes_no_byte(self, monkeypatch):
         once = integrate(*_six_steps())
         calls, _ = _count_cg(monkeypatch)
@@ -309,16 +325,17 @@ class TestStepper:
         big = 1e6 * smooth8
         assert cfl_dt(big, params, _derivatives_w3(big)[1]) < 1e-4
 
-    def test_energy_budget_slack_nonpositive(self, smooth8):
+    def test_energy_budget_slack_nonpositive(self, smooth8, generic8):
         # backward-Euler dissipation gives the inequality a strict margin
         params = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4)
-        state = SimState(t=0.0, v=smooth8)
-        for _ in range(5):
-            H2_old = norm_H(state.v) ** 2
-            state = step(state, params)
-            rep = norm_report(state.v)
-            slack = rep.H2 + 2.0 * state.dt * params.nu * rep.E2 - H2_old
-            assert slack <= 1e-12 * H2_old
+        for v in (smooth8, generic8):
+            state = SimState(t=0.0, v=v)
+            for _ in range(5):
+                H2_old = norm_H(state.v) ** 2
+                state = step(state, params)
+                rep = norm_report(state.v)
+                slack = rep.H2 + 2.0 * state.dt * params.nu * rep.E2 - H2_old
+                assert slack <= 1e-12 * H2_old
 
     def test_step_evaluates_u3_once(self, monkeypatch):
         # cfl_dt and nonlinear_B share one vertical velocity, built from the
@@ -347,7 +364,30 @@ class TestStepper:
             (cfl_args, _, _), (_, b_kw, B) = seen
             assert cfl_args[2] is b_kw["w3"]
             assert b_kw["w3"].tobytes() == _derivatives_w3(v)[1].tobytes()
-            assert B.data.tobytes() == _B(v, v).data.tobytes()
+            assert B.data.tobytes() == _B(v).data.tobytes()
+
+    @pytest.mark.parametrize("grid", [GridSpec(n1=12, n2=12, nz=8),
+                                      GridSpec(L1=1.5, L2=0.8, h=1.2,
+                                               n1=12, n2=10, nz=8)])
+    def test_step_commutes_with_the_box_symmetries(self, grid):
+        # on a generic field, one step commutes to rounding with the point
+        # reflection v(x, y, z) -> -v(L1-x, L2-y, z) and, on a square box,
+        # with the transpose (v1, v2)(x, y, z) -> (v2, v1)(y, x, z): no face
+        # or axis is treated apart
+        def reflect(d):
+            return -d[:, ::-1, ::-1]
+
+        def transpose(d):
+            return d[::-1].transpose(0, 2, 1, 3)
+
+        square = (grid.n1, grid.L1) == (grid.n2, grid.L2)
+        params = SimulationParams(nu=0.1, dt_max=0.01)
+        v = 10.0 * generic_field(grid, 5)
+        after = step(SimState(t=0.0, v=v), params).v.data
+        for sym in (reflect, transpose) if square else (reflect,):
+            moved = HorizontalField(np.ascontiguousarray(sym(v.data)), grid)
+            got = step(SimState(t=0.0, v=moved), params).v.data
+            assert np.abs(got - sym(after)).max() <= 1e-13 * np.abs(after).max()
 
     def test_step_working_set(self):
         # a step after the first, with forcing, allocates at most four

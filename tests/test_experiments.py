@@ -5,14 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import count_calls_everywhere
+from conftest import count_calls_everywhere, scale_inverse_symbol
 from pe3d.cli import main
 from pe3d.config import parse_config
 from pe3d import dynamics, experiments, kicks
 from pe3d.errors import DivergenceError, SolverError
 from pe3d.estimates import eta_partition
-from pe3d.experiments import (CHAIN_HEADER, N_WINDOWS, TRAJECTORY_HEADER,
-                              measure_T_V, run_experiment)
+from pe3d.experiments import (CHAIN_HEADER, TRAJECTORY_HEADER, measure_T_V,
+                              run_experiment)
 from pe3d.kicks import wasserstein1
 from pe3d.verification import ConvergenceReport
 
@@ -116,14 +116,27 @@ class TestFailurePaths:
         assert not (tmp_path / "decay_0.csv").exists()
 
     def test_solver_residual_recorded(self, tmp_path, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise SolverError("x", 3e-4)
+        # a faulty diffusion solve fails the first step's check, whose
+        # residual the failure records
+        residuals = []
+        check = dynamics.weighted_cg
 
-        monkeypatch.setattr(dynamics, "weighted_cg", stalled)
+        def recording(*args, **kwargs):
+            try:
+                return check(*args, **kwargs)
+            except SolverError as e:
+                residuals.append(e.residual)
+                raise
+
+        scale_inverse_symbol(monkeypatch, 1.0 + 1e-6)
+        monkeypatch.setattr(dynamics, "weighted_cg", recording)
         assert run_experiment(_cfg(), output=str(tmp_path)) == 3
         fail = json.loads((tmp_path / "failure.json").read_text())
         assert fail["kind"] == "error"
-        assert fail["residual"] == 3e-4
+        assert "implicit-diffusion" in fail["detail"]
+        assert [fail["residual"]] == residuals
+        assert fail["residual"] > dynamics.DIFFUSION_RTOL
+        assert not (tmp_path / "decay_0.csv").exists()
 
     def test_unexpected_exception_recorded_and_reraised(self, tmp_path, monkeypatch):
         def broken(cfg, outdir):
@@ -240,31 +253,49 @@ class TestDiagDriver:
 class TestProbeDriver:
     def test_success(self, tmp_path):
         cfg = _cfg(TINY.replace("experiment = decay", "experiment = probe")
+                   .replace("t_end = 0.05\n", "")
+                   .replace("eps = 1e-2\nn_ic = 2\n", "")
                    + "probe_t = 0.05\ndeltas = 1e-2,1e-3\n")
         assert run_experiment(cfg, output=str(tmp_path)) == 0
         rep = json.loads((tmp_path / "probe_report.json").read_text())
         assert rep["spread"] <= 3.0
 
 
-KICKS = TINY.replace("experiment = decay", "experiment = kicks").replace(
-    "n_ic = 2", "n_ic = 2\nn_chains = 2") + """
+#: a kicks config that ends in its [kick] section, where each test appends
+#: its own keys; kicks reads sim.t_end only when it measures T (kick.T = 0),
+#: so the tests that leave T at 0 take KICKS_T_V, which sets it
+KICKS = """
+experiment = kicks
+
+[grid]
+n1 = 6
+n2 = 6
+nz = 6
+
+[sim]
+dt_max = 0.005
+
+[experiment]
+n_chains = 2
+
 [kick]
 R = 0.25
 """
+KICKS_T_V = KICKS.replace("dt_max = 0.005", "dt_max = 0.005\nt_end = 0.05")
 
 
 class TestKicksDriver:
     def test_small_chain_run(self, tmp_path):
-        cfg = _cfg(KICKS + "N = 6\nburn_in = 1\n")
+        cfg = _cfg(KICKS_T_V + "N = 6\nburn_in = 1\n")
         assert run_experiment(cfg, output=str(tmp_path)) == 0
         rep = json.loads((tmp_path / "kicks_report.json").read_text())
         assert rep["max_E2"] <= rep["bound_4R"] * (1 + 1e-6)
         assert (tmp_path / "chain_0.csv").exists()
         assert (tmp_path / "chain_1.csv").exists()
 
-    def test_wasserstein_series_recomputed_from_chain_csvs(self, tmp_path):
-        # the report's W1 series come from the chain CSVs' post-burn-in E2
-        # rows alone, and the run writes no other per-chain artifact
+    def test_split_wasserstein_recomputed_from_chain_csvs(self, tmp_path):
+        # the report's W1 distance comes from the chain CSVs' post-burn-in
+        # E2 rows alone, and the run writes no other per-chain artifact
         N, burn_in = 13, 2
         cfg = _cfg(KICKS + f"T = 0.02\nN = {N}\nburn_in = {burn_in}\n")
         assert run_experiment(cfg, output=str(tmp_path)) == 0
@@ -272,12 +303,6 @@ class TestKicksDriver:
         col = CHAIN_HEADER.split(",").index("E2")
         pooled = [np.loadtxt(tmp_path / f"chain_{k}.csv", delimiter=",",
                              skiprows=1)[burn_in:, col] for k in range(2)]
-        width = (N - burn_in) // N_WINDOWS
-        assert width == 2
-        for E2, series in zip(pooled, rep["window_wasserstein_E2"]):
-            windows = [E2[i * width:(i + 1) * width] for i in range(N_WINDOWS)]
-            assert series == [wasserstein1(a, b)
-                              for a, b in zip(windows, windows[1:])]
         assert rep["split_wasserstein_E2"] == wasserstein1(pooled[0], pooled[1])
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "chain_0.csv", "chain_1.csv", "kicks_report.json"]
@@ -318,13 +343,34 @@ class TestKicksDriver:
     def test_T_V_probes_ignore_record_every(self):
         # record_every thins the CSVs only; the probes' decay times are
         # shorter than 5 steps, so a thinned record would round them up
-        text = (KICKS.replace("t_end = 0.05", "t_end = 0.5")
+        text = (KICKS_T_V.replace("t_end = 0.05", "t_end = 0.5")
                 .replace("dt_max = 0.005", "dt_max = 0.01"))
-        T1, T5 = (measure_T_V(_cfg(text.replace("record_every = 1",
-                                                f"record_every = {k}")))
+        T1, T5 = (measure_T_V(_cfg(text.replace(
+            "experiment = kicks", f"experiment = kicks\nrecord_every = {k}")))
                   for k in (1, 5))
         assert max(T1[1]) < 5 * 0.01
         assert T1 == T5
+
+
+class TestIgnoredKeys:
+    @pytest.mark.parametrize("text, key", [
+        (TINY + "[kick]\nN = 500\n", "kick.N"),
+        (TINY.replace("experiment = decay", "experiment = absorb"), "experiment.eps"),
+        (KICKS_T_V + "T = 0.02\nN = 4\nburn_in = 1\n", "sim.t_end"),
+        (KICKS_T_V.replace("experiment = kicks", "experiment = kicks\nrecord_every = 2"),
+         "record_every"),
+        (TINY.replace("experiment = decay", "experiment = probe"), "experiment.n_ic"),
+    ], ids=["decay kick.N", "absorb eps", "kicks t_end with T", "kicks record_every",
+            "probe n_ic"])
+    def test_ignored_key_exits_3(self, tmp_path, text, key):
+        # every experiment rejects a key it would parse and then ignore,
+        # before its first step
+        cfg = _cfg(text)
+        assert run_experiment(cfg, output=str(tmp_path)) == 3
+        fail = json.loads((tmp_path / "failure.json").read_text())
+        assert fail["kind"] == "error"
+        assert key in fail["detail"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["failure.json"]
 
 
 class TestCli:
