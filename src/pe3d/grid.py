@@ -186,18 +186,22 @@ def diff_sbp(f: np.ndarray, d: float, axis: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def weighted_gradient(grid: GridSpec):
-    """sqrt(weights3) and, per axis (x, y, z), M = W^(1/2) D W^(-1/2) for the
-    one-sided difference D and the 1D trapezoid weights W (read-only): the
-    weights are a tensor product, so W^(1/2) D v = M (W^(1/2) v) on 3D."""
+def weighted_grams(grid: GridSpec):
+    """sqrt(weights3), the Gram matrices G = M^T M per axis (x, y, z) and
+    P_z = M_z M_z (read-only), where M = W^(1/2) D W^(-1/2) for the
+    one-sided difference D and the 1D trapezoid weights W: the weights are a
+    tensor product, so W^(1/2) D v = M (W^(1/2) v) on 3D.  Each G is
+    symmetrized, so it is exactly symmetric."""
     mats = []
     for n, d in ((grid.n1, grid.d1), (grid.n2, grid.d2), (grid.nz, grid.dz)):
         s = np.sqrt(_trapezoid_weights(n, d))
         mats.append(s[:, None] * diff_matrix("onesided2", n, d) / s[None, :])
-    sw = np.sqrt(weights3(grid))
-    for a in (sw, *mats):
+    grams = [m.T @ m for m in mats]
+    out = (np.sqrt(weights3(grid)), *(0.5 * (g + g.T) for g in grams),
+           mats[2] @ mats[2])
+    for a in out:
         a.setflags(write=False)
-    return sw, tuple(mats)
+    return out
 
 
 def laplacian_bc(a: np.ndarray, grid: GridSpec) -> np.ndarray:

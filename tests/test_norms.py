@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import inner_H, meshgrid, raw_field, run_with_blas_threads
 from pe3d.errors import InputError
 from pe3d.fields import HorizontalField
-from pe3d.grid import GridSpec, along, diff_matrix, weights3
+from pe3d.grid import GridSpec, along, diff_matrix, weighted_grams, weights3
 from pe3d.norms import NormReport, _report, norm_H, norm_V, norm_report
 
 
@@ -50,10 +50,16 @@ def _separate_loops(v):
 
 
 def _analytic_field(n: int) -> HorizontalField:
-    grid = GridSpec(n1=n, n2=n, nz=n)
+    return _lowest_mode(GridSpec(n1=n, n2=n, nz=n))
+
+
+def _lowest_mode(grid: GridSpec, u2_scale: float = 0.0) -> HorizontalField:
+    """v1 = sin(pi x / L1) sin(pi y / L2) cos(pi z / (2 h)), and v2 the same
+    mode times ``u2_scale``."""
     X, Y, Z = meshgrid(grid)
-    u1 = np.sin(np.pi * X) * np.sin(np.pi * Y) * np.cos(np.pi * Z / 2.0)
-    return HorizontalField(np.stack([u1, np.zeros(grid.shape)]), grid)
+    u1 = (np.sin(np.pi * X / grid.L1) * np.sin(np.pi * Y / grid.L2)
+          * np.cos(np.pi * Z / (2.0 * grid.h)))
+    return HorizontalField(np.stack([u1, u2_scale * u1]), grid)
 
 
 def _dense(fn, a: float, b: float, n: int = 4000) -> float:
@@ -94,6 +100,51 @@ class TestAgainstAnalyticOracles:
         assert abs(norm_L6(_analytic_field(8)) - exact) < 1e-10
 
 
+#: relative bound on E2, K and Kbar of the Gram forms against the difference
+#: form on the smoothest fields, where a Gram form cancels most: the forms
+#: stay within 2.7e-15 on these fields, while Kbar through the form
+#: <fs, P_z^T P_z fs> is off by 2.8e-13 at 32^3 and 1.1e-13 at 48^3
+GRAM_RTOL = 1e-13
+
+
+def _box(n1, n2, nz):
+    return GridSpec(L1=2.0, L2=0.7, h=0.3, n1=n1, n2=n2, nz=nz)
+
+
+class TestGramForms:
+    @pytest.mark.parametrize("field", [
+        lambda: _analytic_field(32), lambda: _analytic_field(48),
+        lambda: _lowest_mode(_box(32, 24, 20), u2_scale=-0.5)],
+        ids=["unit32", "unit48", "box"])
+    def test_smooth_fields_match_the_difference_form(self, field):
+        v = field()
+        rep = norm_report(v)
+        V, K, Kbar = _separate_loops(v)
+        for got, want in ((rep.E2, V ** 2), (rep.K, K), (rep.Kbar, Kbar)):
+            assert abs(got - want) <= GRAM_RTOL * want
+        assert rep.K ** 2 <= rep.E2
+        assert norm_V(v) ** 2 == rep.E2
+
+    def test_cache_holds_the_grams_of_the_weighted_gradient(self):
+        grid = _box(6, 7, 5)
+        sw, *grams, pz = weighted_grams(grid)
+        mats = []
+        for n, d in ((grid.n1, grid.d1), (grid.n2, grid.d2), (grid.nz, grid.dz)):
+            w = np.full(n + 1, d)
+            w[0] = w[-1] = d / 2.0
+            s = np.sqrt(w)
+            mats.append(s[:, None] * diff_matrix("onesided2", n, d) / s[None, :])
+        for got, want in zip((*grams, pz),
+                             [m.T @ m for m in mats] + [mats[2] @ mats[2]]):
+            assert not got.flags.writeable
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-14 * np.abs(want).max())
+        for g in grams:
+            assert np.array_equal(g, g.T)
+        assert not sw.flags.writeable
+        np.testing.assert_allclose(sw ** 2, weights3(grid), rtol=1e-15)
+
+
 class TestInnerProduct:
     def test_symmetry_and_bilinearity(self, grid12, rng):
         a, b, c = (raw_field(grid12, rng) for _ in range(3))
@@ -116,6 +167,17 @@ class TestExactRelations:
         for _ in range(20):
             v = raw_field(grid12, rng)
             assert norm_K(v) ** 2 <= norm_V(v) ** 2
+
+    def test_fields_constant_along_axes_keep_the_forms_nonnegative(self, grid8, rng):
+        # the Gram forms of a field constant along z (or along x and y) are 0
+        # up to rounding of either sign; a negative one would make K or Kbar
+        # NaN or break K^2 <= E2
+        for shape in ((2, 9, 9, 1), (2, 1, 1, 9)) * 10:
+            v = HorizontalField(rng.standard_normal(shape) * np.ones(grid8.shape),
+                                grid8)
+            rep = norm_report(v)
+            assert np.isfinite([rep.E2, rep.K, rep.Kbar]).all()
+            assert rep.K ** 2 <= rep.E2
 
     def test_scaling(self, grid8, rng):
         v = raw_field(grid8, rng)
@@ -160,23 +222,28 @@ class TestNormReport:
         assert rep.J == pytest.approx(J, rel=1e-14, abs=0.0)
 
 
-#: the reports of three raw fields on a 24^3 grid (slabs of 625 nodes) and on
-#: a grid whose (y, z) slabs have 12,221 nodes, as hex
+#: norm_V and the reports of three raw fields and one smooth field on a 24^3
+#: grid (slabs of 625 nodes) and on a grid whose (y, z) slabs have 12,221
+#: nodes, as hex
 _THREADS_SCRIPT = """\
 import numpy as np
 from pe3d.fields import HorizontalField
 from pe3d.grid import GridSpec
-from pe3d.norms import norm_report
+from pe3d.norms import norm_report, norm_V
+from pe3d.sampling import random_smooth_field
 rng = np.random.default_rng(11)
 for grid in (GridSpec(n1=24, n2=24, nz=24), GridSpec(n1=4, n2=120, nz=100)):
-    for _ in range(3):
-        rep = norm_report(HorizontalField(rng.standard_normal((2,) + grid.shape), grid))
-        print(*(float(x).hex() for x in (rep.H2, rep.E2, rep.J, rep.K, rep.Kbar)))
+    fields = [HorizontalField(rng.standard_normal((2,) + grid.shape), grid)
+              for _ in range(3)] + [random_smooth_field(rng, grid)]
+    for v in fields:
+        rep = norm_report(v)
+        print(*(float(x).hex() for x in (norm_V(v), rep.H2, rep.E2, rep.J,
+                                          rep.K, rep.Kbar)))
 """
 
 
 def test_report_bytes_do_not_depend_on_blas_threads():
     outputs = [run_with_blas_threads(_THREADS_SCRIPT, threads)
                for threads in ("1", "2")]
-    assert len(outputs[0].split()) == 30
+    assert len(outputs[0].split()) == 48
     assert outputs[0] == outputs[1]
