@@ -335,13 +335,13 @@ _READS = {
 def run_experiment(cfg: RunConfig, seed: int | None = None,
                    output: str | None = None) -> int:
     """Run one experiment end to end; returns the process exit code."""
-    if seed is not None:
-        cfg = replace(cfg, kick=replace(cfg.kick, seed=seed))
     if output is not None:
         cfg = replace(cfg, output_dir=output)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
+        if seed is not None:
+            cfg = replace(cfg, kick=replace(cfg.kick, seed=seed))
         _reject_ignored(cfg)
         report = _DRIVERS[cfg.experiment](cfg, outdir)
     except ExperimentFailure as e:

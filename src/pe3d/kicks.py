@@ -53,6 +53,8 @@ class KickConfig:
             raise InputError("kick.burn_in must satisfy 0 <= burn_in < N")
         if self.n_modes < 1:
             raise InputError("kick.n_modes must be >= 1")
+        if self.seed < 0:
+            raise InputError("kick.seed must be >= 0")
 
 
 @dataclass

@@ -1,34 +1,42 @@
 """Acceptance gate: the eight top-level criteria, each printing one
-pass/fail line.  Heavy trajectory ensembles are computed once in
-module-scoped fixtures and shared between criteria.
+pass/fail line.
 
-Nominal tolerances and run parameters (grid sizes, horizons, seeds, sample
-counts) are pinned here; loosening them requires a deliberate edit.
+Criteria 1 and 3-7 run the shipped configs (``configs/<experiment>.cfg``,
+seeds included) through ``run_experiment`` and read their figures from
+the drivers' reports and CSVs.  The checks that no driver makes (the
+Poincaré ratio, the doubled horizon, the growth constant's stability
+under refinement, the cumulative-measure trend and the split agreement)
+stay here and read those artifacts.  The decay and absorb runs are made
+once, in module-scoped fixtures, and shared between criteria.
+
+Run parameters are pinned in the configs and tolerances here; loosening
+either requires a deliberate edit.
 """
 
 import contextlib
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import PROJ_TOL, inner_H, raw_field, smallest_eigenvalue_A
+from pe3d.config import RunConfig, parse_config
 from pe3d.dynamics import SimState, SimulationParams, step
-from pe3d.estimates import (check_growth_bound, detect_absorbing,
-                            eta_partition, fit_growth_constant,
-                            measure_decay_time, record_trajectory,
-                            continuity_probe)
-from pe3d.fields import HorizontalField, apply_bc
+from pe3d.estimates import record_trajectory
+from pe3d.experiments import (CHAIN_HEADER, _forcing_field, _scaled_ic,
+                              read_trajectory_csv, run_experiment)
+from pe3d.fields import apply_bc
 from pe3d.grid import GridSpec
-from pe3d.kicks import KickConfig, run_chain, wasserstein1
-from pe3d.norms import norm_H, norm_report, norm_V
+from pe3d.kicks import wasserstein1
+from pe3d.norms import norm_H, norm_report
 from pe3d.projection import constraint_residual, project_H
-from pe3d.sampling import random_smooth_field
-from pe3d.verification import verify_manufactured
+from pe3d.verification import ConvergenceReport
 
 pytestmark = pytest.mark.slow
 
-GRID16 = GridSpec(n1=16, n2=16, nz=16)
-GRID24 = GridSpec(n1=24, n2=24, nz=24)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 _CAPTURE = None
@@ -52,78 +60,64 @@ def _announce(num: int, name: str, ok: bool, detail: str) -> None:
               flush=True)
 
 
-def _scaled_ic(grid: GridSpec, seed: int, target_E2: float) -> HorizontalField:
-    v = random_smooth_field(np.random.default_rng(seed), grid)
-    return float(np.sqrt(target_E2 / norm_V(v) ** 2)) * v
+def _config(experiment: str, **blocks) -> RunConfig:
+    """``configs/<experiment>.cfg`` with the fields of its blocks replaced:
+    ``sim={"t_end": 40.0}`` sets sim.t_end."""
+    cfg = parse_config((CONFIGS / f"{experiment}.cfg").read_text())
+    return replace(cfg, **{attr: replace(getattr(cfg, attr), **sets)
+                           for attr, sets in blocks.items()})
 
 
-def _forcing(grid: GridSpec, seed: int, target_H2: float) -> HorizontalField:
-    f = random_smooth_field(np.random.default_rng(seed), grid)
-    return float(np.sqrt(target_H2 / norm_H(f) ** 2)) * f
+def _run(cfg: RunConfig, outdir: Path) -> Path:
+    run_experiment(cfg, output=str(outdir))
+    return outdir
+
+
+def _report(num: int, name: str, outdir: Path) -> dict:
+    """The report of the run in ``outdir``; if the run failed, criterion
+    ``num`` prints its FAIL line with the failure's detail and fails."""
+    failure = outdir / "failure.json"
+    if failure.exists():
+        detail = json.loads(failure.read_text())["detail"]
+        _announce(num, name, False, detail)
+        pytest.fail(detail)
+    return json.loads(next(outdir.glob("*_report.json")).read_text())
+
+
+def _trajectories(outdir: Path):
+    return [read_trajectory_csv(p) for p in sorted(outdir.glob("*.csv"))]
 
 
 # ---------------------------------------------------------------------------
-# Shared ensembles
+# Shared runs
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def lam1_24() -> float:
-    return smallest_eigenvalue_A(GRID24)
+def decay_dir(tmp_path_factory) -> Path:
+    """Criterion 3's ensemble: 5 unforced trajectories at 24^3, E2(0) = 1."""
+    return _run(_config("decay"), tmp_path_factory.mktemp("decay"))
 
 
 @pytest.fixture(scope="module")
-def decay_runs_24():
-    """Criterion 3 ensemble: 5 unforced trajectories at 24^3, E2(0) = 1.
-
-    dt must be small: the implicit Euler diffusion lags exp(-2 nu lam1 t) by
-    a factor e^{2x}/(1+x)^2 per step (x = nu lam1 dt), which compounds over
-    t_end/dt steps on a field dominated by the slowest mode.  At 10x this
-    dt (1.5e-3), seed 303 ends at a ratio of 1.229, outside the 1.10
-    allowance; at dt_max = 1.5e-4 the largest ratio over t > 0 is 0.985.
-    t_end = 0.1 covers the measured decay times (<= 0.06)."""
-    params = SimulationParams(nu=1.0, dt_max=1.5e-4, cfl=0.4, t_end=0.1)
-    out = []
-    for i in range(5):
-        v0 = _scaled_ic(GRID24, 300 + i, 1.0)
-        diag, _ = record_trajectory(v0, params)
-        out.append(diag)
-    return out
-
-
-F_H2 = 0.1
-
-
-def _absorb_run(v0: HorizontalField, t_end: float):
-    """A forced trajectory at 16^3 from v0 to t_end, with its end state."""
-    f = _forcing(GRID16, 4000, F_H2)
-    params = SimulationParams(nu=1.0, dt_max=0.02, cfl=0.4, t_end=t_end)
-    # record every step: with E2(0) = 1 a coarser record spacing makes
-    # the first single-step integral alone exceed the eta budget in
-    # criterion 5, which would force a degenerate partition interval
-    return record_trajectory(v0, params, record_every=1, forcing_at=lambda t: f)
-
-
-@pytest.fixture(scope="module")
-def absorb_runs_16():
-    """Criterion 4 ensemble: 5 forced trajectories at 16^3 to t = 20, each
-    with its end state."""
-    return [_absorb_run(_scaled_ic(GRID16, 400 + i, 1.0), 20.0)
-            for i in range(5)]
+def absorb_dir(tmp_path_factory) -> Path:
+    """Criterion 4's ensemble: 5 forced trajectories at 16^3 to t = 20."""
+    return _run(_config("absorb"), tmp_path_factory.mktemp("absorb"))
 
 
 # ---------------------------------------------------------------------------
 # 1. Solver verification (manufactured-solution ladder)
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_solver_verification():
-    params = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4)
-    rep = verify_manufactured(params.nu)
-    ok = rep.spatial_order >= 1.8 and rep.temporal_order >= 0.9
+def test_criterion_1_solver_verification(tmp_path):
+    rep = ConvergenceReport(**_report(1, "solver verification",
+                                      _run(_config("verify"), tmp_path)))
+    spatial, temporal = rep.spatial_order, rep.temporal_order
+    ok = spatial >= 1.8 and temporal >= 0.9
     _announce(1, "solver verification", ok,
-              f"spatial order {rep.spatial_order:.2f} (>= 1.8), "
-              f"temporal order {rep.temporal_order:.2f} (>= 0.9)")
-    assert rep.spatial_order >= 1.8
-    assert rep.temporal_order >= 0.9
+              f"spatial order {spatial:.2f} (>= 1.8), "
+              f"temporal order {temporal:.2f} (>= 0.9)")
+    assert spatial >= 1.8
+    assert temporal >= 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +125,13 @@ def test_criterion_1_solver_verification():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_energy_inequality():
+    grid = GridSpec(n1=24, n2=24, nz=24)
     # (a) per-step slack on 100 random unforced steps at 24^3
     params = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4)
     worst = -np.inf
     for i in range(20):
         amp = 0.2 + 1.8 * (i / 19.0)
-        v = amp * _scaled_ic(GRID24, 200 + i, 1.0)
+        v = amp * _scaled_ic(grid, 200 + i, 1.0, "experiment.R")
         state = SimState(t=0.0, v=v)
         old = norm_report(v)
         for _ in range(5):
@@ -150,12 +145,13 @@ def test_criterion_2_energy_inequality():
     # (b) cumulative dissipation budget over a T = 2 forced run:
     # 2 nu int E2 dt <= H2(0) + T |f|_H^2 (the Poincaré constant here is
     # far above 1, which is what lets the forcing term absorb into |f|^2)
-    f = _forcing(GRID24, 4000, F_H2)
+    f_H2 = 0.1
+    f = _forcing_field(grid, 4000, f_H2)
     fp = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4, t_end=2.0)
-    diag, _ = record_trajectory(_scaled_ic(GRID24, 250, 1.0), fp,
+    diag, _ = record_trajectory(_scaled_ic(grid, 250, 1.0, "experiment.R"), fp,
                                 forcing_at=lambda t: f)
     lhs = 2.0 * fp.nu * np.trapezoid(diag.E2, diag.t)
-    rhs = diag.H2[0] + 2.0 * F_H2
+    rhs = diag.H2[0] + 2.0 * f_H2
     cumulative_ok = lhs <= rhs * (1.0 + 1e-4)
 
     ok = per_step_ok and cumulative_ok
@@ -170,23 +166,24 @@ def test_criterion_2_energy_inequality():
 # 3. Decay in the V norm + Poincaré H decay
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_decay(decay_runs_24, lam1_24):
-    eps = 1e-3
-    times = [measure_decay_time(d, eps) for d in decay_runs_24]
+def test_criterion_3_decay(decay_dir):
+    rep = _report(3, "V-norm decay", decay_dir)
+    times = rep["T_V"]
     decayed = all(T is not None for T in times)
 
     # over t > 0: at t = 0 the ratio is 1 by definition
+    lam1 = smallest_eigenvalue_A(_config("decay").grid)
     worst_ratio = 0.0
-    for d in decay_runs_24:
-        bound = d.H2[0] * np.exp(-2.0 * lam1_24 * d.t[1:])
+    for d in _trajectories(decay_dir):
+        bound = d.H2[0] * np.exp(-2.0 * lam1 * d.t[1:])
         worst_ratio = max(worst_ratio, float((d.H2[1:] / bound).max()))
     poincare_ok = worst_ratio <= 1.10
 
     ok = decayed and poincare_ok
     _announce(3, "V-norm decay", ok,
-              f"decay times {['%.3f' % T for T in times]} (eps={eps}), "
+              f"decay times {['%.3f' % T for T in times]} (eps={rep['eps']}), "
               f"H2 vs exp(-2 nu lam1 t) over t > 0: max ratio {worst_ratio:.4f} (<= 1.10, "
-              f"lam1={lam1_24:.2f})")
+              f"lam1={lam1:.2f})")
     assert decayed
     assert poincare_ok
 
@@ -195,21 +192,23 @@ def test_criterion_3_decay(decay_runs_24, lam1_24):
 # 4. Absorbing ball under constant forcing
 # ---------------------------------------------------------------------------
 
-def test_criterion_4_absorbing_ball(absorb_runs_16):
-    rep = detect_absorbing([d for d, _ in absorb_runs_16], window=6.0)
-    base_ok = not any(rep.inconclusive)
+def test_criterion_4_absorbing_ball(absorb_dir, tmp_path):
+    name = "absorbing ball"
+    rep = _report(4, name, absorb_dir)
+    base_ok = not any(rep["inconclusive"])
 
-    # doubled horizon: the forcing is constant in time, so continuing each
-    # trajectory from its t = 20 state for 20 more time units covers
-    # t in [20, 40]; the trajectories stay inside the same ball
-    doubled = [_absorb_run(v, 20.0)[0] for _, v in absorb_runs_16]
-    stayed_doubled = all(float(d.E2.max()) <= rep.K_ball * (1.0 + 1e-3)
-                         for d in doubled)
+    # doubled horizon: the same runs to twice the end time stay inside
+    # the ball found over the first half
+    t_end = _config("absorb").sim.t_end
+    doubled = _run(_config("absorb", sim={"t_end": 2.0 * t_end}), tmp_path)
+    _report(4, name, doubled)
+    stayed_doubled = all(float(d.E2[d.t > t_end].max()) <= rep["K_ball"] * (1.0 + 1e-3)
+                         for d in _trajectories(doubled))
 
     ok = base_ok and stayed_doubled
-    _announce(4, "absorbing ball", ok,
-              f"K_ball={rep.K_ball:.4g}, entry times "
-              f"{['%.2f' % T for T in rep.T_V]}, doubled-run stayed: "
+    _announce(4, name, ok,
+              f"K_ball={rep['K_ball']:.4g}, entry times "
+              f"{['%.2f' % T for T in rep['T_V']]}, doubled-run stayed: "
               f"{stayed_doubled}")
     assert base_ok
     assert stayed_doubled
@@ -219,35 +218,35 @@ def test_criterion_4_absorbing_ball(absorb_runs_16):
 # 5. Growth control
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_growth_control(decay_runs_24, absorb_runs_16):
-    eta = 0.05
-    all_diags = ([(d, 0.0) for d in decay_runs_24]
-                 + [(d, F_H2) for d, _ in absorb_runs_16])
-    finite_partitions = True
-    bound_holds = True
-    for d, f_H2 in all_diags:
-        ivs = eta_partition(d, eta)
-        finite_partitions &= len(ivs) > 0 and not any(iv.degenerate for iv in ivs)
-        for iv in ivs:
-            finite_partitions &= (iv.t_end - iv.t_start <= 1.0 + 1e-12
-                                  and iv.integral_E2 <= eta * (1.0 + 1e-12))
-        C = fit_growth_constant(d, ivs, f_H2)
-        bound_holds &= np.isfinite(C) and check_growth_bound(d, ivs, C, f_H2)
+def test_criterion_5_growth_control(decay_dir, absorb_dir, tmp_path):
+    name = "growth control"
+    f_H2 = _config("absorb").exp.f_H2
+
+    def diag(src: Path, forcing_H2: float) -> list[dict]:
+        """diag's per-trajectory entries for the CSVs in ``src``."""
+        cfg = _config("diag", exp={"input": str(src), "f_H2": forcing_H2})
+        return _report(5, name, _run(cfg, tmp_path / f"diag_{src.name}"))["trajectories"]
+
+    # by construction a partition interval that is not degenerate is at
+    # most 1 long and integrates E2 to at most eta
+    entries = diag(decay_dir, 0.0) + diag(absorb_dir, f_H2)
+    finite_partitions = all(e["n_intervals"] > 0 and e["n_degenerate"] == 0
+                            for e in entries)
+    bound_holds = all(np.isfinite(e["C"]) and e["bound_holds"] for e in entries)
 
     # fitted C stable within a factor of 2 between 16^3 and 24^3 forced runs
     Cs = []
-    for grid in (GRID16, GRID24):
-        f = _forcing(grid, 4000, F_H2)
-        params = SimulationParams(nu=1.0, dt_max=5e-3, cfl=0.4, t_end=2.0)
-        diag, _ = record_trajectory(_scaled_ic(grid, 500, 0.04), params,
-                                    forcing_at=lambda t: f)
-        Cs.append(fit_growth_constant(diag, eta_partition(diag, eta), F_H2))
+    for n in (16, 24):
+        cfg = _config("absorb", grid={"n1": n, "n2": n, "nz": n},
+                      sim={"dt_max": 5e-3, "t_end": 2.0},
+                      kick={"seed": 500}, exp={"R": 0.04, "n_ic": 1})
+        Cs.append(diag(_run(cfg, tmp_path / f"absorb{n}"), f_H2)[0]["C"])
     tiny = 1e-12
     stable = (max(Cs) < tiny) or (min(Cs) > 0
                                   and max(Cs) <= 2.0 * min(Cs))
 
     ok = finite_partitions and bound_holds and stable
-    _announce(5, "growth control", ok,
+    _announce(5, name, ok,
               f"partitions finite: {finite_partitions}, Gamma bound holds: "
               f"{bound_holds}, C(16^3)={Cs[0]:.4g} vs C(24^3)={Cs[1]:.4g}")
     assert finite_partitions
@@ -259,32 +258,15 @@ def test_criterion_5_growth_control(decay_runs_24, absorb_runs_16):
 # 6. Kick chain and invariant measure
 # ---------------------------------------------------------------------------
 
-def test_criterion_6_kick_chain():
-    R = 0.25
-    # T = T_V(4R, R): worst decay time from |v|_V^2 = 4R down to R,
-    # with a 2x safety factor
-    dparams = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4, t_end=2.0)
-    probes = []
-    for i in range(3):
-        diag, _ = record_trajectory(_scaled_ic(GRID16, 600 + i, 4.0 * R),
-                                    dparams)
-        T = measure_decay_time(diag, R)
-        assert T is not None
-        probes.append(T)
-    T = max(2.0 * max(probes), 0.01)
-
-    params = SimulationParams(nu=1.0, dt_max=0.01, cfl=0.4)
-    cfg = KickConfig(T=T, R=R, n_modes=2, seed=60, N=300, burn_in=50)
-    traces = []
-    pooled_post = []
-    for k in range(10):
-        v0 = _scaled_ic(GRID16, 700 + k, R)
-        trace = run_chain(cfg, params, v0, chain_index=k)
-        traces.append(trace)
-        pooled_post.append(trace.E2[cfg.burn_in:])
+def test_criterion_6_kick_chain(tmp_path):
+    rep = _report(6, "kick chain", _run(_config("kicks"), tmp_path))
+    R, max_E2 = rep["R"], rep["max_E2"]
+    E2_col = CHAIN_HEADER.split(",").index("E2")
+    traces = [np.loadtxt(tmp_path / f"chain_{k}.csv", delimiter=",",
+                         skiprows=1, usecols=E2_col)
+              for k in range(rep["n_chains"])]
 
     # (a) boundedness: the 2R + 2R = 4R induction
-    max_E2 = max(float(tr.E2.max()) for tr in traces)
     bounded = max_E2 <= 4.0 * R * (1.0 + 1e-6)
 
     # (b) Krylov-Bogolyubov trend: the running-average empirical measures
@@ -294,25 +276,21 @@ def test_criterion_6_kick_chain():
     # here: T contracts 4R -> R within one chain step, so post-transient
     # windows are already stationary and their W1 distances are pure noise.
     n_checks = 6
-    width = cfg.N // n_checks
-    cumulative = [
-        np.concatenate([tr.E2[:(k + 1) * width] for tr in traces])
-        for k in range(n_checks)]
+    width = rep["N"] // n_checks
+    cumulative = [np.concatenate([E2[:(k + 1) * width] for E2 in traces])
+                  for k in range(n_checks)]
     series = [wasserstein1(a, b)
               for a, b in zip(cumulative, cumulative[1:])]
     trending = series[-1] <= 0.5 * series[0]
 
-    # (c) disjoint-seed halves agree within 0.1 x interquartile range
-    g1 = np.concatenate(pooled_post[:5])
-    g2 = np.concatenate(pooled_post[5:])
-    split = wasserstein1(g1, g2)
-    iqr = float(np.subtract(*np.percentile(np.concatenate(pooled_post),
-                                           [75, 25])))
+    # (c) the post-burn-in samples of the two halves of the chains agree
+    # within 0.1 x their pooled interquartile range
+    split, iqr = rep["split_wasserstein_E2"], rep["pooled_iqr_E2"]
     agree = split <= 0.1 * iqr
 
     ok = bounded and trending and agree
     _announce(6, "kick chain", ok,
-              f"T={T:.3f}, max |X|_V^2={max_E2:.4g} (<= {4*R}), window W1 "
+              f"T={rep['T']:.3f}, max |X|_V^2={max_E2:.4g} (<= {4*R}), window W1 "
               f"{series[0]:.2e} -> {series[-1]:.2e}, split W1 {split:.2e} "
               f"vs 0.1*IQR {0.1*iqr:.2e}")
     assert bounded
@@ -324,13 +302,9 @@ def test_criterion_6_kick_chain():
 # 7. Continuity of the solution map
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_continuity():
-    params = SimulationParams(nu=0.01, dt_max=0.01, cfl=0.4)
-    v0 = _scaled_ic(GRID16, 800, 1.0)
-    w = random_smooth_field(np.random.default_rng(801), GRID16)
-    deltas = [1e-2, 1e-3, 1e-4, 1e-5]
-    ratios = continuity_probe(v0, w, deltas, 0.5, params)
-    spread = max(ratios) / min(ratios)
+def test_criterion_7_continuity(tmp_path):
+    rep = _report(7, "continuity", _run(_config("probe"), tmp_path))
+    ratios, spread = rep["ratios"], rep["spread"]
     ok = spread <= 3.0
     _announce(7, "continuity", ok,
               f"sensitivity ratios {['%.4f' % r for r in ratios]}, "
@@ -343,10 +317,11 @@ def test_criterion_7_continuity():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_projection_suite():
+    grid = GridSpec(n1=16, n2=16, nz=16)
     rng = np.random.default_rng(900)
     worst = {"residual": 0.0, "idem": 0.0, "ortho": 0.0, "contract": 0.0}
     for _ in range(1000):
-        w = apply_bc(raw_field(GRID16, rng))
+        w = apply_bc(raw_field(grid, rng))
         p = project_H(w)
         nw = max(norm_H(w), 1e-30)
         worst["residual"] = max(worst["residual"], constraint_residual(p))

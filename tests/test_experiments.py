@@ -390,6 +390,30 @@ class TestCli:
         cfg_path.write_text("experiment = decay\n[sim]\ncfl = 7\n")
         assert main(["decay", "--config", str(cfg_path)]) == 3
 
+    @pytest.mark.parametrize("experiment, text", [
+        ("decay", TINY + "[kick]\nseed = -1\n"), ("kicks", KICKS_T_V + "seed = -1\n")])
+    def test_negative_config_seed_exits_3(self, tmp_path, capsys, experiment, text):
+        # numpy rejects a negative seed with a ValueError; the config check
+        # rejects it first, as an invalid config
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        assert main([experiment, "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out")]) == 3
+        assert "kick.seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, text", [("decay", TINY), ("kicks", KICKS_T_V)])
+    def test_negative_seed_flag_exits_3(self, tmp_path, capsys, experiment, text):
+        # the --seed override is checked inside run_experiment's error
+        # handling, so it leaves a failure.json of kind "error"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(cfg_path), "--seed", "-1",
+                     "--output", str(out)]) == 3
+        assert "kick.seed must be >= 0" in capsys.readouterr().out
+        assert json.loads((out / "failure.json").read_text())["kind"] == "error"
+        assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+
     def test_experiment_mismatch_exit_3(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(TINY)
