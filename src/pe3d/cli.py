@@ -28,9 +28,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"ERROR: cannot read config {args.config}: {e}", file=sys.stderr)
         return 3
     except InputError as e:

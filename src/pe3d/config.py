@@ -53,12 +53,15 @@ class RunConfig:
     exp: ExperimentBlock
     output_dir: str = "pe3d_out"
     record_every: int = 1
+    seed: int = 0
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise InputError(f"experiment must be one of {EXPERIMENTS}")
         if self.record_every < 1:
             raise InputError("record_every must be >= 1")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
 
 
 def _parse_float(s: str) -> float:

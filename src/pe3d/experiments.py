@@ -9,6 +9,16 @@ report.  run_experiment maps outcomes to exit codes:
     3  solver or input error, such as a key set that the experiment does
        not read (``_READS``)
 
+Random fields come from one base seed, the config's top-level ``seed``,
+which run_experiment's ``seed`` argument (the CLI's ``--seed``) replaces.
+The drivers derive every stream from it:
+
+    decay    member i: seed + i
+    absorb   member i: seed + i; the forcing: seed + 9001
+    kicks    T_V probe i: seed + 5000 + i; chain k's initial field:
+             seed + 100 + k; chain k's kicks: SeedSequence((seed, k))
+    probe    the base field: seed + 1; the direction: seed + 2
+
 All failures leave a diagnostic failure.json in the output directory: a
 DivergenceError adds its diagnostics, a SolverError that carries its final
 residual adds that residual, and any other exception is recorded
@@ -134,14 +144,6 @@ def _scaled_ic(grid: GridSpec, seed: int, target_E2: float,
     return scale * v
 
 
-def _forcing_field(grid: GridSpec, seed: int, target_H2: float) -> HorizontalField | None:
-    """Fixed smooth forcing with |f|_H^2 equal to target_H2 (None if zero)."""
-    if target_H2 == 0.0:
-        return None
-    f = random_smooth_field(np.random.default_rng(seed), grid)
-    return float(np.sqrt(target_H2 / norm_H(f) ** 2)) * f
-
-
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
@@ -156,9 +158,9 @@ def _reject_ignored(cfg: RunConfig) -> None:
                                           ("kick", cfg.kick), ("experiment", cfg.exp))
                for f in fields(block)
                if section not in read and (key := f"{section}.{f.name}") not in read
-               and key != "kick.seed" and getattr(block, f.name) != f.default]
-    if cfg.record_every != 1 and "record_every" not in read:
-        ignored.append("record_every")
+               and getattr(block, f.name) != f.default]
+    ignored += [f.name for f in fields(cfg) if f.name in ("record_every", "seed")
+                and f.name not in read and getattr(cfg, f.name) != f.default]
     if ignored:
         raise InputError(f"{cfg.experiment} reads only {', '.join(read)} from "
                          f"the config; remove {', '.join(ignored)}")
@@ -180,7 +182,7 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
 def run_decay(cfg: RunConfig, outdir: Path) -> dict:
     T_V = []
     for i in range(cfg.exp.n_ic):
-        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + i, cfg.exp.R, "experiment.R")
+        v0 = _scaled_ic(cfg.grid, cfg.seed + i, cfg.exp.R, "experiment.R")
         diag, _ = record_trajectory(v0, cfg.sim, cfg.record_every)
         write_trajectory_csv(outdir / f"decay_{i}.csv", diag)
         T_V.append(measure_decay_time(diag, cfg.exp.eps))
@@ -193,11 +195,14 @@ def run_decay(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def run_absorb(cfg: RunConfig, outdir: Path) -> dict:
-    f = _forcing_field(cfg.grid, cfg.kick.seed + 9001, cfg.exp.f_H2)
-    forcing_at = (lambda t: f) if f is not None else None
+    forcing_at = None
+    if cfg.exp.f_H2 > 0.0:   # a fixed smooth forcing with |f|_H^2 = f_H2
+        f = random_smooth_field(np.random.default_rng(cfg.seed + 9001), cfg.grid)
+        f = float(np.sqrt(cfg.exp.f_H2 / norm_H(f) ** 2)) * f
+        forcing_at = lambda t: f
     diags = []
     for i in range(cfg.exp.n_ic):
-        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + i, cfg.exp.R, "experiment.R")
+        v0 = _scaled_ic(cfg.grid, cfg.seed + i, cfg.exp.R, "experiment.R")
         diag, _ = record_trajectory(v0, cfg.sim, cfg.record_every, forcing_at)
         write_trajectory_csv(outdir / f"absorb_{i}.csv", diag)
         diags.append(diag)
@@ -223,7 +228,7 @@ def measure_T_V(cfg: RunConfig) -> tuple[float, list[float]]:
     R = cfg.kick.R
     times = []
     for i in range(T_V_PROBES):
-        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 5000 + i, 4.0 * R, "kick.R")
+        v0 = _scaled_ic(cfg.grid, cfg.seed + 5000 + i, 4.0 * R, "kick.R")
         diag, _ = record_trajectory(v0, cfg.sim)
         T = measure_decay_time(diag, R) if R > 0 else 0.0
         if T is None:
@@ -242,8 +247,8 @@ def run_kicks(cfg: RunConfig, outdir: Path) -> dict:
     kc = replace(cfg.kick, T=T)
     traces = []
     for k in range(cfg.exp.n_chains):
-        v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 100 + k, R, "kick.R")
-        traces.append(run_chain(kc, cfg.sim, v0, chain_index=k))
+        v0 = _scaled_ic(cfg.grid, cfg.seed + 100 + k, R, "kick.R")
+        traces.append(run_chain(kc, cfg.sim, v0, cfg.seed, chain_index=k))
         write_chain_csv(outdir / f"chain_{k}.csv", traces[-1])
     pooled_E2 = [tr.E2[cfg.kick.burn_in:] for tr in traces]
     max_E2 = max(float(tr.E2.max()) for tr in traces)
@@ -298,8 +303,8 @@ def run_diag(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def run_probe(cfg: RunConfig, outdir: Path) -> dict:
-    v0 = _scaled_ic(cfg.grid, cfg.kick.seed + 1, cfg.exp.R, "experiment.R")
-    w = random_smooth_field(np.random.default_rng(cfg.kick.seed + 2), cfg.grid)
+    v0 = _scaled_ic(cfg.grid, cfg.seed + 1, cfg.exp.R, "experiment.R")
+    w = random_smooth_field(np.random.default_rng(cfg.seed + 2), cfg.grid)
     ratios = continuity_probe(v0, w, list(cfg.exp.deltas), cfg.exp.probe_t, cfg.sim)
     spread = max(ratios) / min(ratios)
     report = {"t": cfg.exp.probe_t, "deltas": list(cfg.exp.deltas),
@@ -317,18 +322,18 @@ _DRIVERS = {"verify": run_verify, "decay": run_decay, "absorb": run_absorb,
 
 #: the config keys each driver reads, a section name standing for all its
 #: keys (verify's ladder fixes its own grids and time steps); kicks also
-#: reads sim.t_end when it measures T (kick.T = 0), and every driver reads
-#: kick.seed, which run_experiment's seed argument sets
+#: reads sim.t_end when it measures T (kick.T = 0)
 _READS = {
     "verify": ("sim.nu",),
     "decay": ("grid", "sim", "experiment.R", "experiment.eps", "experiment.n_ic",
-              "record_every"),
+              "record_every", "seed"),
     "absorb": ("grid", "sim", "experiment.R", "experiment.f_H2",
-               "experiment.window_frac", "experiment.n_ic", "record_every"),
-    "kicks": ("grid", "sim.nu", "sim.dt_max", "sim.cfl", "kick", "experiment.n_chains"),
+               "experiment.window_frac", "experiment.n_ic", "record_every", "seed"),
+    "kicks": ("grid", "sim.nu", "sim.dt_max", "sim.cfl", "kick", "experiment.n_chains",
+              "seed"),
     "diag": ("experiment.input", "experiment.eta", "experiment.f_H2"),
     "probe": ("grid", "sim.nu", "sim.dt_max", "sim.cfl", "experiment.R",
-              "experiment.deltas", "experiment.probe_t"),
+              "experiment.deltas", "experiment.probe_t", "seed"),
 }
 
 
@@ -338,11 +343,15 @@ def run_experiment(cfg: RunConfig, seed: int | None = None,
     if output is not None:
         cfg = replace(cfg, output_dir=output)
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:   # and no failure.json can be written there
+        print(f"ERROR ({cfg.experiment}): cannot create {outdir}: {e.strerror}")
+        return 3
+    try:
+        _reject_ignored(cfg)   # before the seed argument, which any experiment takes
         if seed is not None:
-            cfg = replace(cfg, kick=replace(cfg.kick, seed=seed))
-        _reject_ignored(cfg)
+            cfg = replace(cfg, seed=seed)
         report = _DRIVERS[cfg.experiment](cfg, outdir)
     except ExperimentFailure as e:
         _write_json(outdir / "failure.json",

@@ -134,6 +134,7 @@ def run_configs(draw):
             ("verify", "decay", "absorb", "kicks", "diag", "probe"))),
         output_dir=draw(st.sampled_from(("out", "results/x", "pe3d_out"))),
         record_every=draw(st.integers(1, 50)),
+        seed=draw(st.integers(0, 2 ** 31)),
         grid=GridSpec(L1=draw(_floats), L2=draw(_floats), h=draw(_floats),
                       n1=draw(st.integers(4, 32)), n2=draw(st.integers(4, 32)),
                       nz=draw(st.integers(4, 32))),
@@ -141,7 +142,6 @@ def run_configs(draw):
                              cfl=draw(st.floats(0.01, 1.0)), t_end=draw(_floats)),
         kick=KickConfig(T=draw(st.floats(0.0, 10.0)), R=draw(st.floats(0.0, 10.0)),
                         n_modes=draw(st.integers(1, 4)),
-                        seed=draw(st.integers(0, 2 ** 31)),
                         N=draw(st.integers(2, 1000)), burn_in=draw(st.integers(0, 1))),
         exp=ExperimentBlock(R=draw(_floats), eps=draw(_floats),
                             n_ic=draw(st.integers(1, 10)),

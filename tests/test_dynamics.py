@@ -600,4 +600,4 @@ class TestIntegrate:
     def test_run_chain_rejects_zero_T(self, smooth8):
         with pytest.raises(InputError, match="T must be positive"):
             run_chain(KickConfig(T=0.0, N=4, burn_in=0), SimulationParams(),
-                      smooth8)
+                      smooth8, 0)

@@ -1,19 +1,23 @@
 """Experiment drivers and the CLI: exit codes, artifacts, reproducibility."""
 
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from conftest import count_calls_everywhere, scale_inverse_symbol
 from pe3d.cli import main
-from pe3d.config import parse_config
+from pe3d.config import (_SECTION_SCHEMA, _SECTIONS, _TOP_SCHEMA, EXPERIMENTS,
+                         parse_config)
 from pe3d import dynamics, experiments, kicks
-from pe3d.errors import DivergenceError, SolverError
+from pe3d.errors import DivergenceError, InputError, SolverError
 from pe3d.estimates import eta_partition
-from pe3d.experiments import (CHAIN_HEADER, TRAJECTORY_HEADER, measure_T_V,
-                              run_experiment)
+from pe3d.experiments import (_READS, CHAIN_HEADER, TRAJECTORY_HEADER,
+                              _reject_ignored, _scaled_ic, measure_T_V,
+                              read_trajectory_csv, run_experiment)
 from pe3d.kicks import wasserstein1
+from pe3d.norms import norm_H
 from pe3d.verification import ConvergenceReport
 
 
@@ -164,7 +168,8 @@ class TestVerifyDriver:
         ("[kick]\nN = 500\n", "kick.N"),
         ("[experiment]\nR = 2\n", "experiment.R"),
         ("record_every = 3\n", "record_every"),
-    ], ids=["kick.N", "experiment.R", "record_every"])
+        ("seed = 5\n", "seed"),
+    ], ids=["kick.N", "experiment.R", "record_every", "seed"])
     def test_ignored_key_exits_3(self, tmp_path, text, key):
         cfg = _cfg(f"experiment = verify\n{text}")
         assert run_experiment(cfg, output=str(tmp_path)) == 3
@@ -173,7 +178,8 @@ class TestVerifyDriver:
         assert not (tmp_path / "convergence.json").exists()
 
     def test_seed_argument_passes_the_key_check(self, tmp_path, monkeypatch):
-        # run_experiment's seed sets kick.seed, which verify never reads
+        # run_experiment's seed replaces the config's seed after the key
+        # check, so the CLI's --seed reaches every experiment
         calls = []
 
         def ladder(nu):
@@ -231,7 +237,8 @@ class TestDiagDriver:
         ("[kick]\nN = 900\n", "kick.N"),
         ("[experiment]\nR = 2\n", "experiment.R"),
         ("record_every = 3\n", "record_every"),
-    ], ids=["grid.n1", "sim.nu", "kick.N", "experiment.R", "record_every"])
+        ("seed = 5\n", "seed"),
+    ], ids=["grid.n1", "sim.nu", "kick.N", "experiment.R", "record_every", "seed"])
     def test_ignored_key_exits_3(self, tmp_path, text, key):
         # diag reads only experiment.input, eta and f_H2
         run_experiment(_cfg(), output=str(tmp_path / "runs"))
@@ -352,7 +359,76 @@ class TestKicksDriver:
         assert T1 == T5
 
 
+#: every config key but ``experiment``, each set to a value other than its
+#: default
+EVERY_KEY = """
+output_dir = elsewhere
+record_every = 2
+seed = 5
+
+[grid]
+L1 = 2.0
+L2 = 0.5
+h = 0.3
+n1 = 8
+n2 = 9
+nz = 10
+
+[sim]
+nu = 0.5
+dt_max = 0.02
+cfl = 0.3
+t_end = 2.0
+
+[kick]
+T = 0.1
+R = 0.5
+n_modes = 3
+N = 20
+burn_in = 3
+
+[experiment]
+R = 2.0
+eps = 0.1
+n_ic = 2
+n_chains = 3
+f_H2 = 0.2
+window_frac = 0.5
+eta = 0.1
+deltas = 0.1
+probe_t = 0.2
+input = runs
+"""
+
+
+def _non_default_keys(cfg) -> set[str]:
+    """The keys of ``cfg`` whose values differ from their defaults, the
+    top-level ones by name and the section ones as ``section.key``."""
+    blocks = [("", cfg)] + [(f"{name}.", getattr(cfg, attr))
+                            for name, (attr, _) in _SECTIONS.items()]
+    return {prefix + f.name for prefix, block in blocks for f in fields(block)
+            if f.name != "experiment" and not is_dataclass(getattr(block, f.name))
+            and getattr(block, f.name) != f.default}
+
+
 class TestIgnoredKeys:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_unread_key_is_named(self, experiment):
+        # no key is exempt: with every key set, the check names exactly the
+        # keys outside the experiment's read set.  output_dir is
+        # run_experiment's own, and kicks reads no sim.t_end once kick.T is set
+        cfg = parse_config(f"experiment = {experiment}\n{EVERY_KEY}")
+        keys = _non_default_keys(cfg)
+        assert keys == set(_TOP_SCHEMA) - {"experiment"} | {
+            f"{name}.{key}" for name, schema in _SECTION_SCHEMA.items() for key in schema}
+        read = _READS[experiment]
+        unread = {key for key in keys - {"output_dir"}
+                  if key not in read and key.split(".")[0] not in read}
+        with pytest.raises(InputError) as e:
+            _reject_ignored(cfg)
+        named = str(e.value).split("; remove ")[1].split(", ")
+        assert len(named) == len(unread) and set(named) == unread
+
     @pytest.mark.parametrize("text, key", [
         (TINY + "[kick]\nN = 500\n", "kick.N"),
         (TINY.replace("experiment = decay", "experiment = absorb"), "experiment.eps"),
@@ -390,16 +466,16 @@ class TestCli:
         cfg_path.write_text("experiment = decay\n[sim]\ncfl = 7\n")
         assert main(["decay", "--config", str(cfg_path)]) == 3
 
-    @pytest.mark.parametrize("experiment, text", [
-        ("decay", TINY + "[kick]\nseed = -1\n"), ("kicks", KICKS_T_V + "seed = -1\n")])
+    @pytest.mark.parametrize("experiment, text", [("decay", TINY), ("kicks", KICKS_T_V)])
     def test_negative_config_seed_exits_3(self, tmp_path, capsys, experiment, text):
         # numpy rejects a negative seed with a ValueError; the config check
         # rejects it first, as an invalid config
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(text)
+        cfg_path.write_text(text.replace(f"experiment = {experiment}",
+                                         f"experiment = {experiment}\nseed = -1"))
         assert main([experiment, "--config", str(cfg_path),
                      "--output", str(tmp_path / "out")]) == 3
-        assert "kick.seed must be >= 0" in capsys.readouterr().err
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment, text", [("decay", TINY), ("kicks", KICKS_T_V)])
     def test_negative_seed_flag_exits_3(self, tmp_path, capsys, experiment, text):
@@ -410,9 +486,33 @@ class TestCli:
         out = tmp_path / "out"
         assert main([experiment, "--config", str(cfg_path), "--seed", "-1",
                      "--output", str(out)]) == 3
-        assert "kick.seed must be >= 0" in capsys.readouterr().out
+        assert "seed must be >= 0" in capsys.readouterr().out
         assert json.loads((out / "failure.json").read_text())["kind"] == "error"
         assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+
+    def test_non_utf8_config_exits_3(self, tmp_path, capsys):
+        # a UTF-16 file is no UTF-8 text: reported as an unreadable config,
+        # before any output directory exists
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(b"\xff\xfe" + TINY.encode("utf-16-le"))
+        out = tmp_path / "out"
+        assert main(["decay", "--config", str(cfg_path), "--output", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ERROR: cannot read config {cfg_path}")
+        assert not out.exists()
+
+    def test_output_under_a_file_exits_3(self, tmp_path, capsys):
+        # no directory can be made below a regular file, so no failure.json
+        # can be written either: one ERROR line names the directory
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main(["decay", "--config", str(cfg_path), "--output", str(out)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"ERROR (decay): cannot create {out}: ")
+        assert (tmp_path / "file").read_text() == ""
 
     def test_experiment_mismatch_exit_3(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -440,3 +540,34 @@ class TestCli:
         a = (tmp_path / "a" / "decay_0.csv").read_bytes()
         assert a == (tmp_path / "b" / "decay_0.csv").read_bytes()
         assert a != (tmp_path / "c" / "decay_0.csv").read_bytes()
+
+
+def _grid8(text: str) -> str:
+    return text.replace("n1 = 6\nn2 = 6\nnz = 6", "n1 = 8\nn2 = 8\nnz = 8")
+
+
+class TestSeedKey:
+    @pytest.mark.parametrize("experiment, text", [
+        ("decay", _grid8(TINY)),
+        ("kicks", _grid8(KICKS) + "T = 0.02\nN = 4\nburn_in = 1\n")])
+    def test_config_seed_and_seed_argument_agree(self, tmp_path, experiment, text):
+        # seed = 7 in the config and --seed 7 are one seed: the same bytes
+        keyed = text.replace(f"experiment = {experiment}",
+                             f"experiment = {experiment}\nseed = 7")
+        assert run_experiment(_cfg(keyed), output=str(tmp_path / "key")) == 0
+        assert run_experiment(_cfg(text), seed=7, output=str(tmp_path / "arg")) == 0
+        names = sorted(p.name for p in (tmp_path / "key").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "arg").iterdir())
+        assert sum(name.endswith(".csv") for name in names) == 2
+        for name in names:
+            assert (tmp_path / "key" / name).read_bytes() == (
+                tmp_path / "arg" / name).read_bytes()
+
+    def test_decay_members_follow_the_table(self, tmp_path):
+        # the experiments docstring's table: decay member i uses seed + i
+        cfg = _cfg(_grid8(TINY))
+        assert run_experiment(cfg, seed=7, output=str(tmp_path)) == 0
+        for i in range(cfg.exp.n_ic):
+            v0 = _scaled_ic(cfg.grid, 7 + i, cfg.exp.R, "experiment.R")
+            diag = read_trajectory_csv(tmp_path / f"decay_{i}.csv")
+            assert diag.H2[0] == norm_H(v0) ** 2

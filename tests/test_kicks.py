@@ -38,10 +38,10 @@ from pe3d.grid import GridSpec
 from pe3d.kicks import KickConfig, chain_rng, draw_kick, run_chain
 from pe3d.sampling import random_smooth_field
 grid = GridSpec(n1=24, n2=24, nz=24)
-cfg = KickConfig(T=0.01, R=0.25, n_modes=3, seed=5, N=3, burn_in=0)
-d = draw_kick(chain_rng(cfg, 0), grid, cfg)
+cfg = KickConfig(T=0.01, R=0.25, n_modes=3, N=3, burn_in=0)
+d = draw_kick(chain_rng(5, 0), grid, cfg)
 tr = run_chain(cfg, SimulationParams(dt_max=5e-3),
-               random_smooth_field(np.random.default_rng(1), grid))
+               random_smooth_field(np.random.default_rng(1), grid), 5)
 rows = np.column_stack([tr.H2, tr.E2, tr.J, tr.K, tr.kick_V2])
 print(hashlib.sha256(d.xi.data.tobytes()).hexdigest(), repr(d.V2),
       hashlib.sha256(rows.tobytes()).hexdigest())
@@ -53,9 +53,13 @@ def grid6():
     return GridSpec(n1=6, n2=6, nz=6)
 
 
+#: the base seed of the kick streams drawn with ``kick_cfg``
+SEED = 3
+
+
 @pytest.fixture(scope="module")
 def kick_cfg():
-    return KickConfig(T=0.05, R=0.25, n_modes=2, seed=3, N=8, burn_in=2)
+    return KickConfig(T=0.05, R=0.25, n_modes=2, N=8, burn_in=2)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +77,7 @@ class TestKickDraws:
             KickConfig(N=10, burn_in=10)
 
     def test_bounds_hold_on_many_draws(self, grid6, kick_cfg):
-        rng = chain_rng(kick_cfg, 0)
+        rng = chain_rng(SEED, 0)
         for _ in range(100):
             d = draw_kick(rng, grid6, kick_cfg)
             assert _lap2(d.xi) <= kick_cfg.R * (1.0 + 1e-12)
@@ -81,18 +85,18 @@ class TestKickDraws:
             assert d.V2 == pytest.approx(norm_V(d.xi) ** 2, rel=1e-12)
 
     def test_kicks_live_in_H(self, grid6, kick_cfg):
-        xi = draw_kick(chain_rng(kick_cfg, 1), grid6, kick_cfg).xi
+        xi = draw_kick(chain_rng(SEED, 1), grid6, kick_cfg).xi
         assert bc_residual(xi) == 0.0
         assert constraint_residual(xi) < 1e-10
 
     def test_zero_R_gives_zero_kick(self, grid6):
         cfg = KickConfig(T=0.1, R=0.0, N=4, burn_in=0)
-        d = draw_kick(chain_rng(cfg, 0), grid6, cfg)
+        d = draw_kick(chain_rng(0, 0), grid6, cfg)
         assert np.all(d.xi.data == 0.0) and d.V2 == 0.0 and not d.rescaled
 
     def test_draws_are_seed_deterministic(self, grid6, kick_cfg):
-        a = draw_kick(chain_rng(kick_cfg, 2), grid6, kick_cfg).xi
-        b = draw_kick(chain_rng(kick_cfg, 2), grid6, kick_cfg).xi
+        a = draw_kick(chain_rng(SEED, 2), grid6, kick_cfg).xi
+        b = draw_kick(chain_rng(SEED, 2), grid6, kick_cfg).xi
         assert np.array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("grid", [GridSpec(n1=8, n2=8, nz=8),
@@ -114,8 +118,8 @@ class TestKickDraws:
         # V-norm safeguard rescales some draws; every draw's V2 is the
         # V norm of its field, and both bounds hold on the field
         grid = GridSpec(L1=16.0, L2=16.0, h=16.0, n1=6, n2=6, nz=6)
-        cfg = KickConfig(T=0.1, R=0.25, n_modes=2, seed=1)
-        rng = chain_rng(cfg, 0)
+        cfg = KickConfig(T=0.1, R=0.25, n_modes=2)
+        rng = chain_rng(1, 0)
         draws = [draw_kick(rng, grid, cfg) for _ in range(20)]
         assert any(d.V2 == cfg.R and d.rescaled for d in draws)
         for d in draws:
@@ -132,8 +136,8 @@ class TestKickDraws:
 class TestChain:
     def test_trace_deterministic(self, grid6, kick_cfg, params):
         v0 = random_smooth_field(np.random.default_rng(0), grid6)
-        t1 = run_chain(kick_cfg, params, v0, chain_index=1)
-        t2 = run_chain(kick_cfg, params, v0, chain_index=1)
+        t1 = run_chain(kick_cfg, params, v0, SEED, chain_index=1)
+        t2 = run_chain(kick_cfg, params, v0, SEED, chain_index=1)
         assert np.array_equal(t1.n, np.arange(1, kick_cfg.N + 1))
         assert np.array_equal(t1.E2, t2.E2)
         assert np.array_equal(t1.H2, t2.H2)
@@ -142,8 +146,8 @@ class TestChain:
         # replay the chain step by step: each row holds the public norms of
         # X_n, bit for bit, and the draw that made it
         v0 = random_smooth_field(np.random.default_rng(4), grid6)
-        trace = run_chain(kick_cfg, params, v0, chain_index=2)
-        state, rng = SimState(t=0.0, v=project_H(v0)), chain_rng(kick_cfg, 2)
+        trace = run_chain(kick_cfg, params, v0, SEED, chain_index=2)
+        state, rng = SimState(t=0.0, v=project_H(v0)), chain_rng(SEED, 2)
         for i in range(kick_cfg.N):
             state, draw = chain_step(state, rng, kick_cfg, params)
             X = state.v
@@ -163,7 +167,7 @@ class TestChain:
         certifications = count_calls_everywhere(monkeypatch, weighted_cg)
         steps = count_calls_everywhere(monkeypatch, dynamics.step)
         run_chain(kick_cfg, params,
-                  random_smooth_field(np.random.default_rng(5), grid6))
+                  random_smooth_field(np.random.default_rng(5), grid6), SEED)
         assert len(projections) == len(certifications) == 1
         assert len(steps) >= 2 * kick_cfg.N
 
@@ -172,7 +176,7 @@ class TestChain:
         # redundant: every X_n is BC-clean and meets the constraint
         state = SimState(t=0.0, v=project_H(
             random_smooth_field(np.random.default_rng(6), grid6)))
-        rng = chain_rng(kick_cfg, 0)
+        rng = chain_rng(SEED, 0)
         for _ in range(kick_cfg.N):
             state, _ = chain_step(state, rng, kick_cfg, params)
             assert bc_residual(state.v) == 0.0
@@ -183,8 +187,8 @@ class TestChain:
         # new trajectory from project_H of the kicked state: the one kicked
         # trajectory differs from it by rounding only
         v0 = random_smooth_field(np.random.default_rng(7), grid6)
-        trace = run_chain(kick_cfg, params, v0, chain_index=3)
-        X, rng = v0, chain_rng(kick_cfg, 3)
+        trace = run_chain(kick_cfg, params, v0, SEED, chain_index=3)
+        X, rng = v0, chain_rng(SEED, 3)
         for i in range(kick_cfg.N):
             X = solve_S(X, kick_cfg.T, params)
             draw = draw_kick(rng, grid6, kick_cfg)
@@ -200,7 +204,7 @@ class TestChain:
         v0 = random_smooth_field(np.random.default_rng(8), grid6)
 
         def trace_bytes():
-            tr = run_chain(kick_cfg, params, v0, chain_index=1)
+            tr = run_chain(kick_cfg, params, v0, SEED, chain_index=1)
             return np.column_stack([tr.H2, tr.E2, tr.J, tr.K, tr.kick_V2,
                                     tr.rescaled]).tobytes()
 
@@ -215,8 +219,8 @@ class TestChain:
 
     def test_chain_indices_decorrelate(self, grid6, kick_cfg, params):
         v0 = random_smooth_field(np.random.default_rng(0), grid6)
-        t1 = run_chain(kick_cfg, params, v0, chain_index=0)
-        t2 = run_chain(kick_cfg, params, v0, chain_index=1)
+        t1 = run_chain(kick_cfg, params, v0, SEED, chain_index=0)
+        t2 = run_chain(kick_cfg, params, v0, SEED, chain_index=1)
         assert not np.array_equal(t1.E2, t2.E2)
 
     def test_checkpoint_restart_markov_surrogate(self, grid6, kick_cfg, params):
@@ -224,7 +228,7 @@ class TestChain:
         # step k and continuing gives identical traces
         state = SimState(t=0.0, v=project_H(
             random_smooth_field(np.random.default_rng(1), grid6)))
-        rng = chain_rng(kick_cfg, 0)
+        rng = chain_rng(SEED, 0)
         for _ in range(3):
             state, _ = chain_step(state, rng, kick_cfg, params)
         fork, fork_rng = replace(state, v=state.v.copy()), copy.deepcopy(rng)
@@ -241,7 +245,7 @@ class TestChain:
     def test_boundedness_induction_inequality(self, grid6, kick_cfg, params):
         # |X_{n+1}|_V^2 <= 2 |S(T) X_n|_V^2 + 2 |xi|_V^2 each step
         X = project_H(random_smooth_field(np.random.default_rng(2), grid6))
-        rng = chain_rng(kick_cfg, 0)
+        rng = chain_rng(SEED, 0)
         for _ in range(4):
             flowed = solve_S(X, kick_cfg.T, params)
             draw = draw_kick(rng, grid6, kick_cfg)
